@@ -8,7 +8,7 @@ from .algorithms import (AlgorithmConfig, ExperimentResult, FleetState, MetricsR
                          fedavg_round, fedpbc_round, local_sgd, matrix_form_check,
                          run_experiment)
 from .errors import (CapacityError, ConfigError, ContractViolationError,
-                     DivergedRunError, FedsimError, SolverError, StatisticalError)
+                     DivergedRunError, FedsimError, StatisticalError)
 from .link_model import (ActiveSet, StaticLinkProcess, UniformLinkProcess,
                          ZipfCountLinkProcess, build_trace, probabilities_at,
                          sample_active_set, zipf_sample)

@@ -22,33 +22,45 @@ from .objectives import generate_synthetic, save_dataset_csv
 from .streams import SeededStream
 
 
+def _parse_floats(text: str, where: str) -> np.ndarray:
+    try:
+        return np.array([float(v) for v in text.split(",")])
+    except ValueError:
+        raise FedsimError(f"{where}: expected comma-separated numbers, got {text!r}") from None
+
+
+def _read_rows(path: str, what: str) -> list:
+    """The non-blank lines of a CSV file as float vectors of one length."""
+    rows = []
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                line = line.strip()
+                if line:
+                    rows.append(_parse_floats(line, f"{path} line {lineno}"))
+    except OSError as err:
+        raise FedsimError(f"cannot read {what} file {path}: {err.strerror}") from None
+    if not rows:
+        raise FedsimError(f"no {what} rows found in {path}")
+    lengths = sorted({row.size for row in rows})
+    if len(lengths) > 1:
+        raise FedsimError(f"{what} rows in {path} differ in length: {lengths}")
+    return rows
+
+
 def _parse_p_argument(inline: str | None, path: str | None) -> list:
     """Probability vectors, either one inline list or CSV rows (one vector
     per line)."""
     if (inline is None) == (path is None):
         raise FedsimError("provide exactly one of --p or --p-file")
     if inline is not None:
-        return [np.array([float(v) for v in inline.split(",")])]
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append(np.array([float(v) for v in line.split(",")]))
-    if not rows:
-        raise FedsimError(f"no probability rows found in {path}")
-    return rows
+        return [_parse_floats(inline, "--p")]
+    return _read_rows(path, "probability")
 
 
 def _load_targets(path: str) -> np.ndarray:
     # One row per client; transposed to the d x m layout used internally.
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append([float(v) for v in line.split(",")])
-    return np.array(rows).T
+    return np.array(_read_rows(path, "target")).T
 
 
 def _emit_json_lines(records, out_path: str | None) -> None:

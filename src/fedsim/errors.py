@@ -16,14 +16,6 @@ class ContractViolationError(FedsimError):
     matrix passed to the symmetric eigensolver)."""
 
 
-class SolverError(FedsimError):
-    """An iterative solver failed to converge within its iteration cap."""
-
-    def __init__(self, message: str, residual: float | None = None):
-        super().__init__(message)
-        self.residual = residual
-
-
 class CapacityError(FedsimError):
     """Problem size exceeds what the requested method can handle."""
 

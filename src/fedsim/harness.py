@@ -349,6 +349,9 @@ def oracle_report(p: np.ndarray, targets: Optional[np.ndarray] = None) -> List[d
                 "w": [float(v) for v in weights.w]}]
     if targets is not None:
         targets = np.asarray(targets, dtype=float)
+        if targets.ndim != 2 or targets.shape[1] != weights.w.size:
+            raise ConfigError(f"need one target per client: {weights.w.size} clients, "
+                              f"{targets.shape[-1]} targets")
         predicted = weights.limit_point(targets)
         x_star = targets.mean(axis=1)
         records.append({

@@ -14,26 +14,32 @@ quantity rho = lambda_2(M), the activation-floor ergodicity bound, and the
 geometric contraction inequality E||B(prod_r W_r - 11^T/m)||_F^2 <= rho^t ||B||_F^2.
 
 Closed form (unconditional over all activation patterns, with W = I on the
-empty set): for activation probabilities p,
+empty set): for activation probabilities p and q = 1 - p,
 
-    M_jj  = p_j * ∫_0^1 prod_{k != j} [(1-p_k) + p_k s] ds + (1 - p_j)
-    M_jj' = p_j p_j' * ∫_0^1 s * prod_{k not in {j,j'}} [(1-p_k) + p_k s] ds
+    M_jj  = p_j * ∫_0^1 prod_{k != j} (q_k + p_k s) ds + q_j
+    M_jj' = p_j p_j' * ∫_0^1 s * prod_{k not in {j,j'}} (q_k + p_k s) ds
 
-using E[1/(1+S)] = ∫_0^1 E[s^S] ds for a Bernoulli sum S.  Every entry is
-bounded below by (c^2/m) * (1 - (1-c)^m) when p >= c entry-wise.
+using E[1/(1+S)] = ∫_0^1 E[s^S] ds for a Bernoulli sum S.  On the
+Gauss–Legendre data of ``numerics.bernoulli_quadrature`` (nodes s_n,
+weights w_n, full products P_n, reciprocal factors G) and with
+A = p ∘ G, the off-diagonal block is the single matrix product
+A diag(w s P) A^T and the diagonal is the matrix-vector product
+p ∘ (G (w P)) + q.  Every entry is bounded below by (c^2/m) * (1 - (1-c)^m)
+when p >= c entry-wise.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
 from .errors import ConfigError, ContractViolationError
 from .link_model import ActiveSet
-from .numerics import integrate_weighted_product, second_eigenvalue_sym
+from .numerics import (bernoulli_quadrature, second_eigenvalue_sym,
+                       validate_probabilities)
 from .streams import SeededStream
 
 _MC_CHUNK = 65_536
@@ -82,32 +88,15 @@ def build_mixing(active: ActiveSet, m: int) -> MixingMatrix:
     return MixingMatrix(m=m, entries=W)
 
 
-def _validate_probabilities(p) -> np.ndarray:
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 1 or p.size == 0:
-        raise ConfigError("need a non-empty probability vector")
-    if np.any(p <= 0.0):
-        raise ConfigError("activation probabilities must be strictly positive")
-    if np.any(p > 1.0):
-        raise ConfigError("activation probabilities must be <= 1")
-    return p
-
-
 def expected_square_exact(p) -> ExpectedSquareMixing:
-    """Closed-form E[W^2] via exact integration of linear-factor products."""
-    p = _validate_probabilities(p)
-    m = p.size
-    M = np.empty((m, m))
-    for j in range(m):
-        factors = [(1.0 - p[k], p[k]) for k in range(m) if k != j]
-        M[j, j] = p[j] * integrate_weighted_product(factors, 0) + (1.0 - p[j])
-    for j in range(m):
-        for jp in range(j + 1, m):
-            factors = [(1.0 - p[k], p[k]) for k in range(m) if k != j and k != jp]
-            val = p[j] * p[jp] * integrate_weighted_product(factors, 1)
-            M[j, jp] = val
-            M[jp, j] = val
-    return ExpectedSquareMixing(m=m, entries=M, provenance="exact")
+    """Closed-form E[W^2] by Gauss–Legendre quadrature (module docstring)."""
+    p = validate_probabilities(p)
+    s, w, P, G = bernoulli_quadrature(p)
+    A = p[:, None] * G
+    M = (A * (w * s * P)) @ A.T
+    M = 0.5 * (M + M.T)  # exactly symmetric: fl(a + b) = fl(b + a)
+    M[np.diag_indices(p.size)] = p * (G @ (w * P)) + (1.0 - p)
+    return ExpectedSquareMixing(m=p.size, entries=M, provenance="exact")
 
 
 def expected_square_mc(p, trials: int, stream: SeededStream) -> ExpectedSquareMixing:
@@ -119,7 +108,7 @@ def expected_square_mc(p, trials: int, stream: SeededStream) -> ExpectedSquareMi
     """
     if trials < 1:
         raise ConfigError("trials must be >= 1")
-    p = np.asarray(p, dtype=float)
+    p = validate_probabilities(p)
     m = p.size
     gen = stream.child("mc").generator()
     acc = np.zeros((m, m))
@@ -143,7 +132,7 @@ def rho(M) -> float:
     """Second-largest eigenvalue of an expected-square mixing matrix.
 
     For a time-varying probability process, evaluate per round and track
-    the running maximum (``rho_running_max``); the analytic
+    the running maximum (``harness.mixing_report`` does); the analytic
     ``ergodicity_bound`` certifies the unbounded-horizon maximum.
     """
     entries = M.entries if isinstance(M, ExpectedSquareMixing) else np.asarray(M, float)
@@ -165,26 +154,6 @@ def entrywise_lower_bound(c: float, m: int) -> float:
     if not (0.0 < c <= 1.0):
         raise ConfigError("activation floor must lie in (0, 1]")
     return (c * c / m) * (1.0 - (1.0 - c) ** m)
-
-
-def rho_running_max(p_rounds: Sequence[np.ndarray]) -> float:
-    """Max over rounds of rho(E[W^2]) for a sequence of probability vectors."""
-    best = 0.0
-    for p in p_rounds:
-        best = max(best, rho(expected_square_exact(p)))
-    return best
-
-
-def rho_product(p_rounds: Sequence[np.ndarray]) -> float:
-    """Product over rounds of per-round rho values.
-
-    Diagnostic only: the contraction guarantee uses the uniform maximum,
-    and this tighter product has no guarantee attached.
-    """
-    out = 1.0
-    for p in p_rounds:
-        out *= rho(expected_square_exact(p))
-    return out
 
 
 @dataclass(frozen=True)
@@ -211,7 +180,7 @@ def contraction_profile(B, p, t_max: int, trials: int,
     B = np.asarray(B, dtype=float)
     if B.ndim != 2:
         raise ConfigError("B must be a d x m matrix")
-    p = _validate_probabilities(p)
+    p = validate_probabilities(p)
     d, m = B.shape
     if m != p.size:
         raise ConfigError("B column count must match the probability vector")

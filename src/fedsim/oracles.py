@@ -19,8 +19,11 @@ Three independent routes compute the weights:
   E[1/(1+S_i)] = sum_{S subset of others} (-1)^{|S|} prod_{z in S} p_z / (|S|+1),
   enumerated literally for small m and via elementary symmetric
   polynomials up to m = 20.
-* ``fedavg_limit_integral`` — the identity E[1/(1+S)] = ∫_0^1 E[s^S] ds,
-  evaluated exactly by polynomial expansion.
+* ``fedavg_limit_integral`` — the identity E[1/(1+S_i)] =
+  ∫_0^1 prod_{k != i} ((1-p_k) + p_k s) ds, whose integrand is a
+  polynomial of degree m - 1, evaluated exactly by Gauss–Legendre
+  quadrature: on the data of ``numerics.bernoulli_quadrature`` the weights
+  of all clients are one matrix-vector product, p ∘ (G (w P)).
 * ``fedavg_limit_mc``       — Monte Carlo over activation patterns with the
   0/0 = 0 convention, normalized by the empirical non-empty probability.
 
@@ -39,13 +42,12 @@ from math import comb, prod
 import numpy as np
 
 from .errors import CapacityError, ConfigError, StatisticalError
-from .numerics import integrate_weighted_product
+from .numerics import bernoulli_quadrature, validate_probabilities
 from .objectives import QuadraticObjective
 from .streams import SeededStream
 
 SUBSET_ENUM_MAX = 12   # literal subset enumeration bound
 SUBSET_MAX = 20        # elementary-symmetric accumulation bound
-INTEGRAL_LITERAL_MAX = 256
 _MC_CHUNK = 1 << 18
 
 WEIGHT_SUM_TOL = 1e-9
@@ -67,15 +69,6 @@ class LimitWeights:
 
     def limit_point(self, targets: np.ndarray) -> np.ndarray:
         return np.asarray(targets, float) @ self.w
-
-
-def _validate_p(p) -> np.ndarray:
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 1 or p.size == 0:
-        raise ConfigError("need a non-empty probability vector")
-    if np.any(p <= 0.0) or np.any(p > 1.0):
-        raise ConfigError("activation probabilities must lie in (0, 1]")
-    return p
 
 
 def _nonempty_probability(p: np.ndarray) -> float:
@@ -106,7 +99,7 @@ def _bracket_esp(others: np.ndarray) -> float:
 
 def fedavg_limit_subset(p) -> LimitWeights:
     """Limit weights by explicit subset enumeration (m <= 20)."""
-    p = _validate_p(p)
+    p = validate_probabilities(p)
     m = p.size
     if m > SUBSET_MAX:
         raise CapacityError(
@@ -122,50 +115,10 @@ def fedavg_limit_subset(p) -> LimitWeights:
 
 
 def fedavg_limit_integral(p) -> LimitWeights:
-    """Limit weights via E[1/(1+S)] = ∫_0^1 prod_k [(1-p_k) + p_k s] ds."""
-    p = _validate_p(p)
-    m = p.size
-    denom = _nonempty_probability(p)
-    if m <= INTEGRAL_LITERAL_MAX:
-        w = np.empty(m)
-        for i in range(m):
-            factors = [(1.0 - p[k], p[k]) for k in range(m) if k != i]
-            w[i] = p[i] * integrate_weighted_product(factors, 0) / denom
-        return LimitWeights(w=w, method="integral")
-
-    # Large fleets: expand the full product once, then divide out each
-    # client's linear factor by synthetic division while accumulating the
-    # integral; O(m^2) total.  The division direction is chosen per client
-    # for stability: descending degree divides by p_i (error decays when
-    # p_i >= 1/2), ascending divides by 1 - p_i (decays when p_i < 1/2).
-    coeffs = np.zeros(m + 1)
-    coeffs[0] = 1.0
-    deg = 0
-    for q in p:
-        coeffs[1:deg + 2] = (1.0 - q) * coeffs[1:deg + 2] + q * coeffs[0:deg + 1]
-        coeffs[0] = (1.0 - q) * coeffs[0]
-        deg += 1
-    integral = np.zeros(m)
-    down = p >= 0.5
-    if down.any():
-        a, b = 1.0 - p[down], p[down]
-        part = np.zeros(b.size)
-        d_cur = np.full(b.size, coeffs[m]) / b
-        part += d_cur / m  # coefficient of s^(m-1) integrates to 1/m
-        for j in range(m - 1, 0, -1):
-            d_cur = (coeffs[j] - a * d_cur) / b
-            part += d_cur / j
-        integral[down] = part
-    if (~down).any():
-        a, b = 1.0 - p[~down], p[~down]
-        part = np.zeros(a.size)
-        d_cur = np.full(a.size, coeffs[0]) / a
-        part += d_cur  # constant coefficient integrates to 1
-        for j in range(1, m):
-            d_cur = (coeffs[j] - b * d_cur) / a
-            part += d_cur / (j + 1)
-        integral[~down] = part
-    w = p * integral / denom
+    """Limit weights via E[1/(1+S_i)] = ∫_0^1 prod_{k != i} [(1-p_k) + p_k s] ds."""
+    p = validate_probabilities(p)
+    _, weights, P, G = bernoulli_quadrature(p)
+    w = p * (G @ (weights * P)) / _nonempty_probability(p)
     return LimitWeights(w=w, method="integral")
 
 
@@ -174,7 +127,7 @@ def fedavg_limit_mc(p, trials: int, stream: SeededStream) -> LimitWeights:
     patterns, divided by the empirical non-empty frequency."""
     if trials < 10_000:
         raise ConfigError("Monte Carlo route needs at least 10^4 trials")
-    p = _validate_p(p)
+    p = validate_probabilities(p)
     m = p.size
     gen = stream.child("mc").generator()
     acc = np.zeros(m)

@@ -168,6 +168,52 @@ def test_oracle_cli_uniform_weights(capsys):
     assert records[0]["w"] == pytest.approx([1 / 3] * 3, abs=1e-12)
 
 
+def assert_cli_error(capsys, argv):
+    """The command exits 1 with an ``error:`` line and no traceback."""
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("base", [0.1, 0.3, 0.5])
+def test_mixing_cli_near_uniform_p_file(tmp_path, capsys, base):
+    # A clustered spectrum: these vectors used to exhaust the eigensolver.
+    p = base * (1.0 + 0.01 * np.arange(60) / 59)
+    p_file = tmp_path / "p.csv"
+    p_file.write_text(",".join(f"{v:.17g}" for v in p) + "\n", encoding="utf-8")
+    assert main(["mixing", "--p-file", str(p_file)]) == 0
+    round_rec = json.loads(capsys.readouterr().out.splitlines()[0])
+    assert round_rec["rho_within_bound"] and round_rec["entries_above_lower_bound"]
+
+
+@pytest.mark.parametrize("command", ["mixing", "oracle"])
+def test_cli_rejects_nan_probability(capsys, command):
+    assert_cli_error(capsys, [command, "--p", "0.5,nan"])
+
+
+@pytest.mark.parametrize("option", ["--p", "--p-file", "--u"])
+def test_cli_rejects_malformed_float(tmp_path, capsys, option):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("0.5,abc\n", encoding="utf-8")
+    argv = {"--p": ["oracle", "--p", "0.5,abc"],
+            "--p-file": ["oracle", "--p-file", str(bad)],
+            "--u": ["oracle", "--p", "0.5,0.5", "--u", str(bad)]}[option]
+    assert_cli_error(capsys, argv)
+
+
+def test_mixing_cli_rejects_ragged_p_file(tmp_path, capsys):
+    p_file = tmp_path / "p.csv"
+    p_file.write_text("0.5,0.5\n0.5,0.5,0.5\n", encoding="utf-8")
+    assert_cli_error(capsys, ["mixing", "--p-file", str(p_file)])
+
+
+@pytest.mark.parametrize("rows", ["0,0\n1,1\n2,2\n", "0,0\n1\n"],
+                         ids=["row-count", "ragged"])
+def test_oracle_cli_rejects_malformed_targets(tmp_path, capsys, rows):
+    u_file = tmp_path / "u.csv"
+    u_file.write_text(rows, encoding="utf-8")
+    assert_cli_error(capsys, ["oracle", "--p", "0.5,0.5", "--u", str(u_file)])
+
+
 def test_gendata_cli_roundtrip(tmp_path):
     out = tmp_path / "data.csv"
     assert main(["gendata", "--alpha", "1", "--beta", "1", "--m", "3",

@@ -83,6 +83,12 @@ def test_expected_square_exact_rejects_zero_probability():
         expected_square_exact([0.5, 0.0])
 
 
+@pytest.mark.parametrize("p", [[0.5, float("nan")], [0.5, 1.7], [0.5, 0.0]])
+def test_expected_square_mc_rejects_invalid_probability(p):
+    with pytest.raises(ConfigError):
+        expected_square_mc(p, 10, SeededStream(5).child("mc"))
+
+
 def test_expected_square_mc_always_on():
     M = expected_square_mc([1.0, 1.0, 1.0], 10, SeededStream(5).child("mc"))
     assert np.allclose(M.entries, np.full((3, 3), 1 / 3), atol=1e-15)

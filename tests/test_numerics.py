@@ -3,8 +3,8 @@ import pytest
 from scipy.integrate import quad
 
 from fedsim.errors import ContractViolationError
-from fedsim.numerics import (integrate_weighted_product, product_coefficients,
-                             second_eigenvalue_sym)
+from fedsim.mixing import expected_square_exact
+from fedsim.numerics import integrate_weighted_product, second_eigenvalue_sym
 
 
 def random_mixing_average(rng, m, patterns=6):
@@ -35,6 +35,21 @@ def test_second_eigenvalue_two_by_two_hand_value():
     # Eigenvector (1, -1) gives 0.875 - 0.125 = 0.75.
     M = np.array([[0.875, 0.125], [0.125, 0.875]])
     assert second_eigenvalue_sym(M) == pytest.approx(0.75, abs=1e-10)
+
+
+def test_second_eigenvalue_swap_is_minus_one():
+    # The complement of the all-ones direction is spanned by (1, -1),
+    # which the swap maps to its negative.
+    assert second_eigenvalue_sym(np.array([[0.0, 1.0], [1.0, 0.0]])) == -1.0
+
+
+@pytest.mark.parametrize("base", [0.1, 0.3, 0.5])
+def test_second_eigenvalue_near_uniform_clustered_spectrum(base):
+    # p_i = b (1 + 0.01 i/59) clusters the top of the deflated spectrum,
+    # which stalls iterative eigensolvers with a residual test.
+    p = base * (1.0 + 0.01 * np.arange(60) / 59)
+    M = expected_square_exact(p).entries
+    assert second_eigenvalue_sym(M) == pytest.approx(np.linalg.eigvalsh(M)[-2], abs=1e-12)
 
 
 def test_second_eigenvalue_single_client():
@@ -90,15 +105,3 @@ def test_integrate_matches_adaptive_quadrature():
 
         expected, _ = quad(integrand, 0.0, 1.0, limit=200)
         assert integrate_weighted_product(factors, w) == pytest.approx(expected, abs=1e-10)
-
-
-def test_product_coefficients_match_numpy_poly():
-    rng = np.random.default_rng(13)
-    for _ in range(25):
-        k = int(rng.integers(1, 30))
-        factors = [(float(a), float(b)) for a, b in rng.uniform(0.0, 1.0, size=(k, 2))]
-        got = product_coefficients(factors)
-        ref = np.array([1.0])
-        for a, b in factors:
-            ref = np.convolve(ref, np.array([a, b]))
-        assert np.allclose(got, ref, atol=1e-12)

@@ -62,12 +62,12 @@ def test_integral_two_clients_hand_value():
     assert np.allclose(fedavg_limit_integral([1.0, 0.5]).w, [0.75, 0.25], atol=1e-15)
 
 
-def test_integral_large_fleet_division_path():
+def test_integral_large_fleet():
     rng = np.random.default_rng(7)
     p = rng.uniform(0.1, 1.0, size=500)
     w = fedavg_limit_integral(p).w
     assert abs(w.sum() - 1.0) <= 1e-9
-    # spot-check one coordinate against the literal integral
+    # spot-check one coordinate against the product integrated directly
     from fedsim.numerics import integrate_weighted_product
     i = 137
     factors = [(1.0 - p[k], p[k]) for k in range(500) if k != i]
