@@ -5,8 +5,7 @@ diagnostics."""
 __version__ = "0.1.0"
 
 from .algorithms import (AlgorithmConfig, ExperimentResult, FleetState, MetricsRow,
-                         fedavg_round, fedpbc_round, local_sgd, matrix_form_check,
-                         run_experiment)
+                         matrix_form_check, run_experiment, run_round)
 from .errors import (CapacityError, ConfigError, ContractViolationError,
                      DivergedRunError, FedsimError, StatisticalError)
 from .link_model import (ActiveSet, StaticLinkProcess, UniformLinkProcess,
@@ -17,8 +16,7 @@ from .mixing import (ExpectedSquareMixing, MixingMatrix, build_mixing,
                      expected_square_exact, expected_square_mc, rho)
 from .numerics import integrate_weighted_product, second_eigenvalue_sym
 from .objectives import (FederatedDataset, QuadraticObjective, SoftmaxObjective,
-                         SoftmaxParams, generate_synthetic, global_gradient_norm,
-                         quad_global_optimum, quad_gradient, softmax_loss_grad)
+                         SoftmaxParams, generate_synthetic, softmax_loss_grad)
 from .oracles import (LimitWeights, fedavg_limit_integral, fedavg_limit_mc,
                       fedavg_limit_subset, kappa, local_perturbation_check)
 from .streams import SeededStream

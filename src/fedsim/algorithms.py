@@ -1,22 +1,21 @@
-"""Round engines for federated averaging under intermittent links.
+"""One round engine for federated averaging under intermittent links.
 
-Both algorithms run T rounds of: draw one fresh mini-batch per client,
-take s local gradient steps at a fixed step size on that batch, report to
-the server, and average the reports of the clients whose links were up.
-They differ in when the server's state reaches the clients:
+Every round, ``run_round`` takes one step: the computing clients (all of
+them, or only the active ones under ``local_compute="active_only"``,
+whose inactive columns stay frozen) take s gradient steps together at a
+fixed step size on the round's fresh mini-batches, through the
+objective's ``gradient_fleet``; the server averages the results of the
+clients whose links were up.  The two algorithms differ only in when the
+server's state reaches the clients:
 
 * ``fedavg``  — the round begins with a broadcast.  Clients with active
   links restart from the server model; the rest continue from their own.
-  The new server model is the mean of the active clients' reports, and
-  client columns keep their own local results.
+  Client columns keep their own local results.
 
 * ``fedpbc``  — the broadcast is postponed to the end of the round.  Every
   client continues from its own model; after aggregation the new server
   model is multicast only to the clients whose links were active, whose
   columns are overwritten with it.
-
-``local_compute`` selects whether every client computes each round
-("all") or only the active ones ("active_only", inactive columns frozen).
 
 Metrics rows record the fleet as each round's local computation sees it
 (after FedAvg's broadcast), which is also the exact state FedPBC carries
@@ -97,19 +96,11 @@ class MatrixFormReport:
     max_deviation: float
 
 
-def local_sgd(x0: np.ndarray, i: int, s: int, eta: float, objective,
-              batch=None) -> np.ndarray:
-    """s gradient steps at fixed step size on the round's fixed batch."""
-    if s < 1:
-        raise ConfigError("s must be >= 1")
-    x = np.asarray(x0, dtype=float).copy()
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(s):
-            x -= eta * objective.gradient(i, x, batch)
-    if not np.all(np.isfinite(x)):
-        raise DivergedRunError(f"client {i} diverged during local steps",
-                               round_index=-1, client=i)
-    return x
+def computing_clients(active: ActiveSet, cfg: AlgorithmConfig, m: int) -> np.ndarray:
+    """Ids, increasing, of the clients that take local steps this round."""
+    if cfg.local_compute == "all":
+        return np.arange(m)
+    return np.array(active.members, dtype=int)
 
 
 def round_starts(state: FleetState, active: ActiveSet, cfg: AlgorithmConfig) -> np.ndarray:
@@ -124,55 +115,6 @@ def round_starts(state: FleetState, active: ActiveSet, cfg: AlgorithmConfig) -> 
     return state.X.copy()
 
 
-def _client_steps(objective, i: int, x0: np.ndarray, batch, s: int, eta: float) -> np.ndarray:
-    x = x0.copy()
-    for _ in range(s):
-        x -= eta * objective.gradient(i, x, batch)
-    return x
-
-
-def _local_pass(starts: np.ndarray, compute: np.ndarray, cfg: AlgorithmConfig,
-                objective, batches, workers: int = 1) -> np.ndarray:
-    if not compute.any():
-        return starts.copy()
-    if objective.fleet_vectorized:
-        X = starts.copy()
-        buf = np.empty_like(X)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(cfg.s):
-                objective.gradient_fleet(X, batches, out=buf)
-                buf *= cfg.eta
-                X -= buf
-        if not compute.all():
-            X[:, ~compute] = starts[:, ~compute]
-        return X
-    X = starts.copy()
-    clients = [int(i) for i in np.nonzero(compute)[0]]
-    if workers > 1:
-        # Per-client updates are pure; results are written back in client
-        # order, so the outcome is identical to the sequential path.
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_client_steps, objective, i, starts[:, i],
-                                   batches[i] if batches is not None else None,
-                                   cfg.s, cfg.eta)
-                       for i in clients]
-            for i, fut in zip(clients, futures):
-                X[:, i] = fut.result()
-        return X
-    for i in clients:
-        batch = batches[i] if batches is not None else None
-        X[:, i] = _client_steps(objective, i, starts[:, i], batch, cfg.s, cfg.eta)
-    return X
-
-
-def _aggregate(results: np.ndarray, active: ActiveSet,
-               old_global: np.ndarray) -> np.ndarray:
-    if len(active) == 0:
-        return old_global.copy()
-    return results[:, list(active.members)].mean(axis=1)
-
-
 def _check_finite(X: np.ndarray, t: int, rows=None) -> None:
     if np.all(np.isfinite(X)):
         return
@@ -181,62 +123,52 @@ def _check_finite(X: np.ndarray, t: int, rows=None) -> None:
                            round_index=t, client=bad, rows=rows)
 
 
-def fedavg_round(state: FleetState, active: ActiveSet, cfg: AlgorithmConfig,
-                 objective, batches=None, workers: int = 1) -> FleetState:
-    if cfg.variant != "fedavg":
-        raise ConfigError("config variant must be 'fedavg'")
-    starts = round_starts(state, active, cfg)
-    mask = active.mask(state.num_clients)
-    compute = np.ones(state.num_clients, bool) if cfg.local_compute == "all" else mask
-    results = _local_pass(starts, compute, cfg, objective, batches, workers)
-    _check_finite(results, state.round)
-    new_global = _aggregate(results, active, state.global_model)
-    return FleetState(X=results, global_model=new_global, round=state.round + 1)
-
-
-def fedpbc_round(state: FleetState, active: ActiveSet, cfg: AlgorithmConfig,
-                 objective, batches=None, workers: int = 1) -> FleetState:
-    if cfg.variant != "fedpbc":
-        raise ConfigError("config variant must be 'fedpbc'")
-    starts = round_starts(state, active, cfg)
-    mask = active.mask(state.num_clients)
-    compute = np.ones(state.num_clients, bool) if cfg.local_compute == "all" else mask
-    results = _local_pass(starts, compute, cfg, objective, batches, workers)
-    _check_finite(results, state.round)
-    new_global = _aggregate(results, active, state.global_model)
-    X = results
-    X[:, mask] = new_global[:, None]  # the postponed multicast
-    return FleetState(X=X, global_model=new_global, round=state.round + 1)
-
-
 def run_round(state: FleetState, active: ActiveSet, cfg: AlgorithmConfig,
-              objective, batches=None, workers: int = 1) -> FleetState:
-    fn = fedavg_round if cfg.variant == "fedavg" else fedpbc_round
-    return fn(state, active, cfg, objective, batches, workers)
+              objective, batch) -> FleetState:
+    """One round of either variant.
+
+    ``batch`` is the objective's ``fleet_batch`` for the clients of
+    ``computing_clients``; their columns take ``cfg.s`` steps together
+    through ``gradient_fleet``, and the other columns keep their starts.
+    """
+    m = state.num_clients
+    X = round_starts(state, active, cfg)
+    clients = computing_clients(active, cfg, m)
+    if len(clients):
+        local = X if len(clients) == m else X[:, clients]
+        buf = np.empty_like(local)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(cfg.s):
+                objective.gradient_fleet(local, batch, out=buf)
+                buf *= cfg.eta
+                local -= buf
+        if local is not X:
+            X[:, clients] = local
+    _check_finite(X, state.round)
+    members = list(active.members)
+    new_global = X[:, members].mean(axis=1) if members else state.global_model.copy()
+    if cfg.variant == "fedpbc":
+        X[:, members] = new_global[:, None]  # the postponed multicast
+    return FleetState(X=X, global_model=new_global, round=state.round + 1)
 
 
 def matrix_form_check(state_before: FleetState, active: ActiveSet,
                       cfg: AlgorithmConfig, objective,
-                      state_after: FleetState, batches=None,
+                      state_after: FleetState, batch,
                       tol: float = 1e-10) -> MatrixFormReport:
     """Verify one FedPBC round equals X' = (X - eta G) W.
 
-    G's columns are the per-client sums of the s per-step gradients and W
-    is the gossip matrix of the realized active set.  Requires
-    local_compute="all" (otherwise the identity does not describe the
-    frozen columns).
+    G's columns are the per-client sums of the s per-step gradients on the
+    round's ``batch`` and W is the gossip matrix of the realized active
+    set.  Requires local_compute="all" (otherwise the identity does not
+    describe the frozen columns).
     """
     if cfg.variant != "fedpbc" or cfg.local_compute != "all":
         raise ConfigError("matrix-form identity applies to fedpbc with local_compute='all'")
     X = state_before.X.copy()
     G = np.zeros_like(X)
     for _ in range(cfg.s):
-        if objective.fleet_vectorized:
-            g = objective.gradient_fleet(X, batches)
-        else:
-            g = np.stack([objective.gradient(i, X[:, i],
-                                             batches[i] if batches is not None else None)
-                          for i in range(X.shape[1])], axis=1)
+        g = objective.gradient_fleet(X, batch)
         G += g
         X = X - cfg.eta * g
     W = build_mixing(active, state_before.num_clients).entries
@@ -265,8 +197,7 @@ def _measure(t: int, starts: np.ndarray, objective, active_count: int) -> Metric
 
 def run_experiment(cfg: AlgorithmConfig, objective, link_process, T: int,
                    stream: SeededStream, *, trace: Optional[Sequence[TraceRound]] = None,
-                   batch_size: int = 32, x0: Optional[np.ndarray] = None,
-                   workers: int = 1) -> ExperimentResult:
+                   batch_size: int = 32, x0: Optional[np.ndarray] = None) -> ExperimentResult:
     """Execute T rounds and record one metrics row per round.
 
     Randomness is addressed by purpose: link draws under ``links`` and
@@ -285,9 +216,7 @@ def run_experiment(cfg: AlgorithmConfig, objective, link_process, T: int,
     state = FleetState.initial(x0, m)
 
     link_stream = stream.child("links") if trace is None else None
-    batchers = None
-    if objective.needs_batches:
-        batchers = objective.make_batchers(batch_size, stream.child("batches"))
+    batchers = objective.make_batchers(batch_size, stream.child("batches"))
 
     rows: List[MetricsRow] = []
     for t in range(T):
@@ -300,14 +229,10 @@ def run_experiment(cfg: AlgorithmConfig, objective, link_process, T: int,
         starts = round_starts(state, active, cfg)
         rows.append(_measure(t, starts, objective, len(active)))
 
-        batches = None
-        if batchers is not None:
-            mask = active.mask(m)
-            compute = np.ones(m, bool) if cfg.local_compute == "all" else mask
-            batches = [objective.batch_for(i, batchers[i]) if compute[i] else None
-                       for i in range(m)]
+        clients = computing_clients(active, cfg, m)
+        batch = objective.fleet_batch(clients, batchers) if len(clients) else None
         try:
-            state = run_round(state, active, cfg, objective, batches, workers)
+            state = run_round(state, active, cfg, objective, batch)
         except DivergedRunError as err:
             raise DivergedRunError(str(err), round_index=t, client=err.client,
                                    rows=rows) from None

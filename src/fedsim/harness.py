@@ -30,8 +30,7 @@ from .errors import ConfigError, DivergedRunError
 from .link_model import TraceRound, build_trace, trace_checksum, write_trace_csv
 from .mixing import (entrywise_lower_bound, ergodicity_bound,
                      expected_square_exact, rho)
-from .objectives import (QuadraticObjective, SoftmaxObjective, generate_synthetic,
-                         global_gradient_norm)
+from .objectives import QuadraticObjective, SoftmaxObjective, generate_synthetic
 from .oracles import fedavg_limit_integral
 from .streams import GENERATOR_ID, SeededStream
 
@@ -262,8 +261,8 @@ def reproduce_fig3(scale: float, out_dir, seed: int = 1234) -> dict:
     """Softmax-regression comparison under the time-varying Zipf schedule.
 
     Generates the heterogeneous dataset once, samples one shared link
-    trace, runs both algorithms on it, and writes a summary comparing
-    final train loss and test accuracy.
+    trace, runs both algorithms on it, and writes a summary of the final
+    train loss and test accuracy of each.
     """
     m, T = _scaled_counts(scale, FIG3_BASE["m"], FIG3_BASE["T"])
     os.makedirs(out_dir, exist_ok=True)
@@ -288,14 +287,11 @@ def reproduce_fig3(scale: float, out_dir, seed: int = 1234) -> dict:
         finals[variant] = {"train_loss": last.train_loss,
                            "test_accuracy": last.test_accuracy}
 
-    summary = {
-        "m": m, "T": T, "link": link, "seed": seed,
-        "fedavg": finals["fedavg"], "fedpbc": finals["fedpbc"],
-        "fedpbc_train_loss_leq_fedavg":
-            finals["fedpbc"]["train_loss"] <= finals["fedavg"]["train_loss"],
-        "fedpbc_test_accuracy_geq_fedavg":
-            finals["fedpbc"]["test_accuracy"] >= finals["fedavg"]["test_accuracy"],
-    }
+    # No verdict on which is lower: both runs start at zero and stop at a
+    # fixed horizon, which compares speed, not the fixed points the paper's
+    # claim is about (acceptance criterion C11 compares those).
+    summary = {"m": m, "T": T, "link": link, "seed": seed,
+               "fedavg": finals["fedavg"], "fedpbc": finals["fedpbc"]}
     with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2)
         fh.write("\n")

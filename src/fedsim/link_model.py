@@ -13,6 +13,7 @@ sum to anything in particular).
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -22,6 +23,7 @@ import numpy as np
 from scipy.special import zeta
 
 from .errors import ConfigError
+from .numerics import validate_probabilities
 from .streams import SeededStream
 
 # The Zipf inverse CDF is truncated once the remaining tail mass drops
@@ -57,30 +59,39 @@ class ActiveSet:
         return len(self.members)
 
 
+@functools.lru_cache(maxsize=4)
+def _zipf_cdf(a: float) -> np.ndarray:
+    """The read-only cumulative table of Zipf(a), built once per exponent."""
+    z = float(zeta(a, 1))
+    # Tail bound: sum_{k>K} k^-a <= K^(1-a) / (a-1).
+    support = ((a - 1.0) * z * ZIPF_TAIL_MASS) ** (-1.0 / (a - 1.0))
+    support = int(math.ceil(support))
+    if support > ZIPF_MAX_TABLE:
+        raise ConfigError(
+            f"zipf exponent {a} needs a {support}-entry inverse-CDF table to reach "
+            f"tail mass {ZIPF_TAIL_MASS}; the cap is {ZIPF_MAX_TABLE}. "
+            "Use a larger exponent.")
+    k = np.arange(1, support + 1, dtype=float)
+    cdf = np.cumsum(k ** -a / z)
+    cdf.flags.writeable = False
+    return cdf
+
+
 class ZipfSampler:
     """Inverse-CDF sampler for P(Z=k) = k^-a / zeta(a), k >= 1.
 
     The cumulative table covers all ranks up to the point where the
     remaining mass is below ``ZIPF_TAIL_MASS``; draws landing beyond it
-    (probability < 1e-12) are clamped to the last tabulated rank.
+    (probability < 1e-12) are clamped to the last tabulated rank.  Samplers
+    of one exponent share one read-only table.
     """
 
     def __init__(self, a: float):
         if not (a > 1.0):
             raise ConfigError(f"zipf exponent must be > 1 (got {a}); the series diverges")
         self.a = float(a)
-        z = float(zeta(self.a, 1))
-        # Tail bound: sum_{k>K} k^-a <= K^(1-a) / (a-1).
-        support = ((self.a - 1.0) * z * ZIPF_TAIL_MASS) ** (-1.0 / (self.a - 1.0))
-        support = int(math.ceil(support))
-        if support > ZIPF_MAX_TABLE:
-            raise ConfigError(
-                f"zipf exponent {a} needs a {support}-entry inverse-CDF table to reach "
-                f"tail mass {ZIPF_TAIL_MASS}; the cap is {ZIPF_MAX_TABLE}. "
-                "Use a larger exponent.")
-        k = np.arange(1, support + 1, dtype=float)
-        self.cdf = np.cumsum(k ** -self.a / z)
-        self.support = support
+        self.cdf = _zipf_cdf(self.a)
+        self.support = self.cdf.size
 
     def sample(self, gen: np.random.Generator, size: int) -> np.ndarray:
         u = gen.random(size)
@@ -89,20 +100,9 @@ class ZipfSampler:
         return idx + 1
 
 
-_zipf_cache: dict = {}
-
-
-def _zipf_sampler(a: float) -> ZipfSampler:
-    key = float(a)
-    if key not in _zipf_cache:
-        _zipf_cache[key] = ZipfSampler(key)
-    return _zipf_cache[key]
-
-
 def zipf_sample(a: float, stream: SeededStream) -> int:
     """Draw one Zipf(a) rank (>= 1) from the stream's own generator."""
-    sampler = _zipf_sampler(a)
-    return int(sampler.sample(stream.generator(), 1)[0])
+    return int(ZipfSampler(a).sample(stream.generator(), 1)[0])
 
 
 class StaticLinkProcess:
@@ -219,20 +219,51 @@ def write_trace_csv(path, trace: Sequence[TraceRound]) -> None:
 
 
 def read_trace_csv(path) -> List[TraceRound]:
+    """Read a trace written by ``write_trace_csv``.
+
+    Rounds must be exactly 0..T-1 (T >= 1) and every round must list each
+    of the same m clients 0..m-1 once, with p in (0, 1] and active 0 or 1;
+    anything else raises ``ConfigError`` rather than being replayed as
+    some other trace.
+    """
     per_round: dict = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         if header != ["round", "client", "p", "active"]:
             raise ConfigError(f"unexpected trace header: {header}")
         for rec in reader:
-            t, i = int(rec[0]), int(rec[1])
-            per_round.setdefault(t, []).append((i, float(rec[2]), int(rec[3])))
+            where = f"trace line {reader.line_num}"
+            if len(rec) != 4:
+                raise ConfigError(f"{where}: expected 4 fields, got {len(rec)}")
+            try:
+                t, i, p, act = int(rec[0]), int(rec[1]), float(rec[2]), int(rec[3])
+            except ValueError:
+                raise ConfigError(f"{where}: malformed field in {rec!r}") from None
+            if act not in (0, 1):
+                raise ConfigError(f"{where}: active must be 0 or 1, got {act}")
+            clients = per_round.setdefault(t, {})
+            if i in clients:
+                raise ConfigError(f"{where}: client {i} appears twice in round {t}")
+            clients[i] = (p, act)
+    rounds = sorted(per_round)
+    if not rounds:
+        raise ConfigError("trace has no rounds")
+    if rounds != list(range(len(rounds))):
+        raise ConfigError("trace rounds must run 0..T-1 without gaps; found "
+                          f"{len(rounds)} rounds numbered {rounds[0]}..{rounds[-1]}")
+    m = len(per_round[0])
     trace = []
-    for t in sorted(per_round):
-        entries = sorted(per_round[t])
-        p = np.array([e[1] for e in entries])
-        members = tuple(i for i, _, act in entries if act)
+    for t in rounds:
+        clients = per_round[t]
+        if sorted(clients) != list(range(m)):
+            raise ConfigError(f"trace round {t} must list clients 0..{m - 1} "
+                              "as round 0 does")
+        try:
+            p = validate_probabilities([clients[i][0] for i in range(m)])
+        except ConfigError as err:
+            raise ConfigError(f"trace round {t}: {err}") from None
+        members = tuple(i for i in range(m) if clients[i][1])
         trace.append(TraceRound(round=t, p=p, active=ActiveSet(round=t, members=members)))
     return trace
 

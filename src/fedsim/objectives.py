@@ -38,11 +38,13 @@ DATASET_MAGIC = "synthetic-v1"
 
 
 class QuadraticObjective:
-    """Mean of per-client squared distances to fixed targets."""
+    """Mean of per-client squared distances to fixed targets.
+
+    Gradients are exact, so a round's batch is only the target columns of
+    the clients that compute.
+    """
 
     kind = "quadratic"
-    fleet_vectorized = True
-    needs_batches = False
 
     def __init__(self, targets: np.ndarray):
         targets = np.asarray(targets, dtype=float)
@@ -59,10 +61,23 @@ class QuadraticObjective:
             raise ConfigError(f"model vector must have dimension {self.dim}")
         return x - self.targets[:, i]
 
-    def gradient_fleet(self, X: np.ndarray, batches=None, out=None) -> np.ndarray:
-        return np.subtract(X, self.targets, out=out)
+    def make_batchers(self, batch_size: int, stream: SeededStream) -> None:
+        """Exact gradients draw no mini-batches."""
+        return None
+
+    def fleet_batch(self, clients: np.ndarray, batchers=None) -> np.ndarray:
+        """Target columns of ``clients``; the whole matrix, uncopied, when
+        every client computes."""
+        if len(clients) == self.num_clients:
+            return self.targets
+        return self.targets[:, clients]
+
+    def gradient_fleet(self, X: np.ndarray, batch: np.ndarray, out=None) -> np.ndarray:
+        """Gradients of the clients whose targets are the columns of ``batch``."""
+        return np.subtract(X, batch, out=out)
 
     def global_optimum(self) -> np.ndarray:
+        """Column mean of the targets, the unique global minimizer."""
         return self.targets.mean(axis=1)
 
     def global_gradient(self, x: np.ndarray) -> np.ndarray:
@@ -74,16 +89,6 @@ class QuadraticObjective:
 
     def test_accuracy(self, x: np.ndarray) -> Optional[float]:
         return None
-
-
-def quad_gradient(obj: QuadraticObjective, i: int, x: np.ndarray) -> np.ndarray:
-    """Exact local gradient x - u_i."""
-    return obj.gradient(i, x)
-
-
-def quad_global_optimum(obj: QuadraticObjective) -> np.ndarray:
-    """Column mean of the targets — the unique global minimizer."""
-    return obj.global_optimum()
 
 
 @dataclass(frozen=True)
@@ -296,8 +301,6 @@ class SoftmaxObjective:
     """Softmax regression over a federated dataset, one loss per client."""
 
     kind = "softmax"
-    fleet_vectorized = False
-    needs_batches = True
 
     def __init__(self, dataset: FederatedDataset):
         self.dataset = dataset
@@ -318,6 +321,41 @@ class SoftmaxObjective:
         cl = self.dataset.clients[i]
         return cl.train_x[idx], cl.train_y[idx]
 
+    def fleet_batch(self, clients: np.ndarray, batchers: List[MiniBatcher]):
+        """The round's batches of ``clients`` (at least one, drawn in the
+        order given) stacked into (k, b, 60) features, one-hot labels, and
+        per-sample weights 1/b_i that are 0 on the padding of clients
+        holding fewer than b samples."""
+        xs, ys = zip(*(self.batch_for(int(i), batchers[i]) for i in clients))
+        lengths = np.array([len(y) for y in ys])
+        valid = np.arange(lengths.max()) < lengths[:, None]
+        features = np.zeros(valid.shape + (N_FEATURES,))
+        features[valid] = np.concatenate(xs)
+        onehot = np.zeros(valid.shape + (N_CLASSES,))
+        onehot[valid, np.concatenate(ys)] = 1.0
+        return features, onehot, valid / lengths[:, None]
+
+    def gradient_fleet(self, X: np.ndarray, batch, out=None) -> np.ndarray:
+        """Mini-batch gradients of k clients at the columns of the 610 x k
+        ``X``, on a batch stacked by ``fleet_batch``: the same sums as
+        ``gradient``, taken in another order."""
+        features, onehot, weights = batch
+        k = X.shape[1]
+        n_w = N_CLASSES * N_FEATURES
+        weight = X[:n_w].T.reshape(k, N_CLASSES, N_FEATURES)
+        z = np.matmul(features, weight.transpose(0, 2, 1))
+        z += X[n_w:].T[:, None, :]
+        z -= z.max(axis=2, keepdims=True)
+        np.exp(z, out=z)
+        z /= z.sum(axis=2, keepdims=True)
+        z -= onehot
+        z *= weights[:, :, None]
+        if out is None:
+            out = np.empty_like(X)
+        out[:n_w] = np.matmul(z.transpose(0, 2, 1), features).reshape(k, n_w).T
+        out[n_w:] = z.sum(axis=1).T
+        return out
+
     def global_gradient(self, x: np.ndarray) -> np.ndarray:
         total = np.zeros(PARAM_DIM)
         for cl in self.dataset.clients:
@@ -336,9 +374,3 @@ class SoftmaxObjective:
             pred = np.argmax(_logits(np.asarray(x, float), cl.test_x), axis=1)
             accs.append(float((pred == cl.test_y).mean()))
         return float(np.mean(accs))
-
-
-def global_gradient_norm(objective, x_bar: np.ndarray) -> float:
-    """Euclidean norm of the uniform average of per-client gradients at x_bar,
-    using exact gradients (quadratic) or full train sets (softmax)."""
-    return float(np.linalg.norm(objective.global_gradient(np.asarray(x_bar, float))))

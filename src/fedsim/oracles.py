@@ -72,7 +72,11 @@ class LimitWeights:
 
 
 def _nonempty_probability(p: np.ndarray) -> float:
-    return 1.0 - float(np.prod(1.0 - p))
+    """1 - prod(1 - p), in log space: the direct form cancels to a few
+    digits when every p_i is tiny."""
+    if np.any(p == 1.0):
+        return 1.0
+    return -math.expm1(float(np.sum(np.log1p(-p))))
 
 
 def _bracket_enumerated(others: np.ndarray) -> float:

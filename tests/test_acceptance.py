@@ -17,8 +17,8 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from fedsim.algorithms import (AlgorithmConfig, FleetState, fedpbc_round,
-                               matrix_form_check, run_experiment)
+from fedsim.algorithms import (AlgorithmConfig, FleetState, matrix_form_check,
+                               run_experiment, run_round)
 from fedsim.config import make_link_process
 from fedsim.harness import build_quadratic_targets, write_metrics_csv
 from fedsim.link_model import ActiveSet, ZipfCountLinkProcess, build_trace, sample_active_set
@@ -256,8 +256,9 @@ def test_c10_matrix_form_identity():
         worst = 0.0
         for t in range(500):
             active = sample_active_set(np.full(8, 0.45), t, stream)
-            nxt = fedpbc_round(state, active, cfg, objective)
-            report = matrix_form_check(state, active, cfg, objective, nxt)
+            nxt = run_round(state, active, cfg, objective, objective.targets)
+            report = matrix_form_check(state, active, cfg, objective, nxt,
+                                       objective.targets)
             worst = max(worst, report.max_deviation)
             assert report.passed
             state = nxt

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from fedsim.algorithms import (AlgorithmConfig, FleetState, fedavg_round,
-                               fedpbc_round, local_sgd, matrix_form_check,
-                               run_experiment)
+from fedsim.algorithms import (AlgorithmConfig, FleetState, matrix_form_check,
+                               run_experiment, run_round)
 from fedsim.errors import ConfigError, DivergedRunError
-from fedsim.link_model import ActiveSet, StaticLinkProcess, build_trace, sample_active_set
+from fedsim.link_model import (ActiveSet, StaticLinkProcess, TraceRound, build_trace,
+                               sample_active_set)
 from fedsim.objectives import QuadraticObjective, SoftmaxObjective, generate_synthetic
 from fedsim.streams import SeededStream
 
@@ -14,24 +14,34 @@ def two_client_objective():
     return QuadraticObjective(np.array([[0.0, 2.0]]))
 
 
-def test_local_sgd_reference_steps():
+def test_local_steps_reference_values():
+    # One client with target 2: each step moves x by eta (2 - x).
     obj = QuadraticObjective(np.array([[2.0]]))
-    assert local_sgd(np.array([0.0]), 0, 1, 0.5, obj) == pytest.approx([1.0])
-    assert local_sgd(np.array([0.0]), 0, 2, 0.5, obj) == pytest.approx([1.5])
-    assert local_sgd(np.array([0.3]), 0, 5, 0.0, obj) == pytest.approx([0.3])
+    # AlgorithmConfig requires eta > 0, so the fixed point stands in for a
+    # zero step: a client at its target stays there.
+    for x0, s, eta, expected in [(0.0, 1, 0.5, 1.0), (0.0, 2, 0.5, 1.5), (2.0, 5, 0.5, 2.0)]:
+        for variant in ("fedavg", "fedpbc"):
+            cfg = AlgorithmConfig(variant, s=s, eta=eta)
+            nxt = run_round(FleetState.initial(np.array([x0]), 1), ActiveSet(0, (0,)),
+                            cfg, obj, obj.targets)
+            assert nxt.X[0, 0] == pytest.approx(expected)
+            assert nxt.global_model == pytest.approx([expected])
 
 
-def test_local_sgd_divergence_detection():
+def test_local_steps_divergence_detection():
     obj = QuadraticObjective(np.array([[1.0]]))
-    with pytest.raises(DivergedRunError):
-        local_sgd(np.array([1e300]), 0, 400, 3.0, obj)
+    cfg = AlgorithmConfig("fedavg", s=400, eta=3.0)
+    state = FleetState.initial(np.array([1e300]), 1)
+    with pytest.raises(DivergedRunError) as err:
+        run_round(state, ActiveSet(0, (0,)), cfg, obj, obj.targets)
+    assert err.value.client == 0
 
 
 def test_fedavg_round_all_active():
     obj = two_client_objective()
     cfg = AlgorithmConfig("fedavg", s=1, eta=0.5)
     state = FleetState.initial(np.zeros(1), 2)
-    nxt = fedavg_round(state, ActiveSet(0, (0, 1)), cfg, obj)
+    nxt = run_round(state, ActiveSet(0, (0, 1)), cfg, obj, obj.targets)
     assert nxt.global_model == pytest.approx([0.5])
     assert nxt.X[0].tolist() == [0.0, 1.0]  # columns keep local results
     assert nxt.round == 1
@@ -41,7 +51,7 @@ def test_fedavg_round_empty_active_set():
     obj = two_client_objective()
     cfg = AlgorithmConfig("fedavg", s=1, eta=0.5)
     state = FleetState.initial(np.array([1.0]), 2)
-    nxt = fedavg_round(state, ActiveSet(0, ()), cfg, obj)
+    nxt = run_round(state, ActiveSet(0, ()), cfg, obj, obj.targets)
     assert nxt.global_model == pytest.approx([1.0])  # unchanged
     # with local_compute=all every column still advances
     assert nxt.X[0] == pytest.approx([0.5, 1.5])
@@ -51,7 +61,7 @@ def test_fedavg_active_only_freezes_inactive():
     obj = two_client_objective()
     cfg = AlgorithmConfig("fedavg", s=1, eta=0.5, local_compute="active_only")
     state = FleetState.initial(np.array([1.0]), 2)
-    nxt = fedavg_round(state, ActiveSet(0, (1,)), cfg, obj)
+    nxt = run_round(state, ActiveSet(0, (1,)), cfg, obj, obj.targets[:, [1]])
     assert nxt.X[0, 0] == 1.0          # frozen
     assert nxt.X[0, 1] == pytest.approx(1.5)
     assert nxt.global_model == pytest.approx([1.5])
@@ -61,7 +71,7 @@ def test_fedpbc_round_single_active_client():
     obj = two_client_objective()
     cfg = AlgorithmConfig("fedpbc", s=1, eta=0.5)
     state = FleetState.initial(np.zeros(1), 2)
-    nxt = fedpbc_round(state, ActiveSet(0, (1,)), cfg, obj)
+    nxt = run_round(state, ActiveSet(0, (1,)), cfg, obj, obj.targets)
     # client 1 stepped 0 -> 1; |A| = 1 so the global adopts it and the
     # multicast overwrites client 1's column; client 0 keeps its result.
     assert nxt.global_model == pytest.approx([1.0])
@@ -72,7 +82,7 @@ def test_fedpbc_round_empty_active_set():
     obj = two_client_objective()
     cfg = AlgorithmConfig("fedpbc", s=1, eta=0.5)
     state = FleetState.initial(np.array([1.0]), 2)
-    nxt = fedpbc_round(state, ActiveSet(0, ()), cfg, obj)
+    nxt = run_round(state, ActiveSet(0, ()), cfg, obj, obj.targets)
     assert nxt.global_model == pytest.approx([1.0])
     assert nxt.X[0] == pytest.approx([0.5, 1.5])
 
@@ -85,7 +95,7 @@ def test_fedpbc_active_clients_reach_consensus():
     stream = SeededStream(10).child("links")
     for t in range(30):
         active = sample_active_set(np.full(6, 0.5), t, stream)
-        state = fedpbc_round(state, active, cfg, obj)
+        state = run_round(state, active, cfg, obj, obj.targets)
         for i in active.members:
             assert np.array_equal(state.X[:, i], state.global_model)
 
@@ -110,7 +120,7 @@ def test_fedpbc_conserves_global_on_empty_rounds():
     cfg = AlgorithmConfig("fedpbc", s=2, eta=0.1)
     state = FleetState.initial(np.array([0.7]), 2)
     for t in range(5):
-        state = fedpbc_round(state, ActiveSet(t, ()), cfg, obj)
+        state = run_round(state, ActiveSet(t, ()), cfg, obj, obj.targets)
     assert state.global_model == pytest.approx([0.7])
 
 
@@ -121,8 +131,8 @@ def test_matrix_form_identity_trivial_cases():
     state = FleetState.initial(np.zeros(3), 4)
     for members in [(0, 1, 2, 3), ()]:
         active = ActiveSet(0, members)
-        nxt = fedpbc_round(state, active, cfg, obj)
-        rep = matrix_form_check(state, active, cfg, obj, nxt)
+        nxt = run_round(state, active, cfg, obj, obj.targets)
+        rep = matrix_form_check(state, active, cfg, obj, nxt, obj.targets)
         assert rep.passed, rep
 
 
@@ -134,8 +144,8 @@ def test_matrix_form_identity_random_rounds():
     stream = SeededStream(70).child("links")
     for t in range(100):
         active = sample_active_set(np.full(7, 0.4), t, stream)
-        nxt = fedpbc_round(state, active, cfg, obj)
-        rep = matrix_form_check(state, active, cfg, obj, nxt)
+        nxt = run_round(state, active, cfg, obj, obj.targets)
+        rep = matrix_form_check(state, active, cfg, obj, nxt, obj.targets)
         assert rep.passed and rep.max_deviation <= 1e-10
         state = nxt
 
@@ -145,7 +155,7 @@ def test_matrix_form_check_requires_fedpbc_all():
     cfg = AlgorithmConfig("fedavg", s=1, eta=0.1)
     state = FleetState.initial(np.zeros(1), 2)
     with pytest.raises(ConfigError):
-        matrix_form_check(state, ActiveSet(0, ()), cfg, obj, state)
+        matrix_form_check(state, ActiveSet(0, ()), cfg, obj, state, obj.targets)
 
 
 def test_uniform_rate_fedavg_converges_to_optimum():
@@ -223,14 +233,43 @@ def test_active_only_does_not_consume_inactive_randomness():
     assert np.array_equal(b1[0], b2[0])
 
 
-def test_parallel_client_evaluation_is_deterministic():
-    ds = generate_synthetic(1.0, 1.0, 6, 24, SeededStream(37).child("data"))
-    obj = SoftmaxObjective(ds)
-    proc = StaticLinkProcess(np.full(6, 0.6))
-    cfg = AlgorithmConfig("fedpbc", s=3, eta=0.02)
-    seq = run_experiment(cfg, obj, proc, 12, SeededStream(37).child("sim"),
-                         batch_size=8, workers=1)
-    par = run_experiment(cfg, obj, proc, 12, SeededStream(37).child("sim"),
-                         batch_size=8, workers=3)
-    assert seq.rows == par.rows
-    assert np.array_equal(seq.final_state.X, par.final_state.X)
+def ragged_softmax_fleet(m: int) -> SoftmaxObjective:
+    ds = generate_synthetic(1.0, 1.0, m, 40, SeededStream(41).child("data"),
+                            count_mode="lognormal")
+    return SoftmaxObjective(ds)
+
+
+def partial_trace(p: np.ndarray, T: int, seed: int):
+    stream = SeededStream(seed).child("links")
+    return [TraceRound(t, p, sample_active_set(p, t, stream)) for t in range(T)]
+
+
+def test_softmax_active_only_freezes_never_active_columns():
+    obj = ragged_softmax_fleet(12)
+    p = np.r_[np.full(9, 0.6), np.zeros(3)]
+    trace = partial_trace(p, 8, 43)
+    x0 = np.random.default_rng(43).normal(scale=0.1, size=obj.dim)
+    for variant in ("fedavg", "fedpbc"):
+        cfg = AlgorithmConfig(variant, s=3, eta=0.05, local_compute="active_only")
+        res = run_experiment(cfg, obj, StaticLinkProcess(np.ones(12)), 8,
+                             SeededStream(44).child("sim"), trace=trace,
+                             batch_size=48, x0=x0)
+        X = res.final_state.X
+        assert np.array_equal(X[:, 9:], np.repeat(x0[:, None], 3, axis=1))
+        assert not np.array_equal(X[:, :9], np.repeat(x0[:, None], 9, axis=1))
+
+
+def test_softmax_fedpbc_multicasts_to_last_round_active_clients():
+    obj = ragged_softmax_fleet(10)
+    trace = partial_trace(np.full(10, 0.5), 6, 47)
+    assert 0 < len(trace[-1].active) < 10
+    for mode in ("all", "active_only"):
+        cfg = AlgorithmConfig("fedpbc", s=3, eta=0.05, local_compute=mode)
+        res = run_experiment(cfg, obj, StaticLinkProcess(np.ones(10)), 6,
+                             SeededStream(48).child("sim"), trace=trace, batch_size=48)
+        state = res.final_state
+        members = list(trace[-1].active.members)
+        assert np.array_equal(state.X[:, members],
+                              np.repeat(state.global_model[:, None], len(members), axis=1))
+        others = [i for i in range(10) if i not in members]
+        assert not np.any(np.all(state.X[:, others] == state.global_model[:, None], axis=0))

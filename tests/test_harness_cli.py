@@ -252,3 +252,7 @@ def test_reproduce_fig3_smoke(tmp_path):
     assert (tmp_path / "fig3" / "fedavg_metrics.csv").exists()
     assert (tmp_path / "fig3" / "fedpbc_metrics.csv").exists()
     assert (tmp_path / "fig3" / "summary.json").exists()
+    on_disk = json.loads((tmp_path / "fig3" / "summary.json").read_text(encoding="utf-8"))
+    for key in ("fedpbc_train_loss_leq_fedavg", "fedpbc_test_accuracy_geq_fedavg"):
+        assert key not in summary and key not in on_disk
+    assert set(on_disk["fedpbc"]) == {"train_loss", "test_accuracy"}

@@ -134,3 +134,56 @@ def test_uniform_process_floor():
     proc = UniformLinkProcess(0.25, 4)
     assert proc.floor == 0.25
     assert StaticLinkProcess([0.5, 0.2]).floor == 0.2
+
+
+def write_rows(path, rows, header="round,client,p,active"):
+    path.write_text(header + "\n" + "".join(r + "\n" for r in rows), encoding="utf-8")
+    return path
+
+
+def test_trace_rejects_rounds_other_than_zero_to_t_minus_one(tmp_path):
+    for rows in (["0,0,0.5,1", "2,0,0.5,0"],      # gap: would replay as 0, 1
+                 ["1,0,0.5,1", "2,0,0.5,0"],      # no round 0
+                 []):
+        with pytest.raises(ConfigError):
+            read_trace_csv(write_rows(tmp_path / "t.csv", rows))
+
+
+def test_trace_rejects_missing_duplicate_or_changing_clients(tmp_path):
+    for rows in (["0,0,0.5,1", "0,2,0.5,0"],                           # client 1 missing
+                 ["0,0,0.5,1", "0,0,0.5,0"],                           # client 0 twice
+                 ["0,0,0.5,1", "0,1,0.5,0", "1,0,0.5,1"],              # m drops to 1
+                 ["0,0,0.5,1", "1,0,0.5,1", "1,1,0.5,0"]):             # m grows to 2
+        with pytest.raises(ConfigError):
+            read_trace_csv(write_rows(tmp_path / "t.csv", rows))
+
+
+def test_trace_rejects_bad_probabilities(tmp_path):
+    for p in ("1.7", "-0.1", "nan", "0"):
+        with pytest.raises(ConfigError):
+            read_trace_csv(write_rows(tmp_path / "t.csv", ["0,0,0.5,1", f"0,1,{p},0"]))
+
+
+def test_trace_rejects_active_flags_other_than_zero_or_one(tmp_path):
+    for act in ("2", "-1"):
+        with pytest.raises(ConfigError):
+            read_trace_csv(write_rows(tmp_path / "t.csv", ["0,0,0.5,1", f"0,1,0.5,{act}"]))
+
+
+def test_trace_rejects_malformed_fields(tmp_path):
+    for row in ("0,1,abc,0", "0,x,0.5,0", "0,1,0.5,yes", "0,1,0.5", "0,1,0.5,0,7",
+                "0.5,1,0.5,0"):
+        with pytest.raises(ConfigError):
+            read_trace_csv(write_rows(tmp_path / "t.csv", ["0,0,0.5,1", row]))
+    with pytest.raises(ConfigError):
+        read_trace_csv(write_rows(tmp_path / "t.csv", ["0,0,0.5,1"], header="round,client,p"))
+
+
+def test_zipf_processes_share_one_read_only_table():
+    from fedsim.config import make_link_process
+    first = make_link_process("zipf:3,20000,0.1", 30)
+    second = make_link_process("zipf:3,500,0.2", 150)
+    assert first.sampler.cdf is second.sampler.cdf
+    assert not first.sampler.cdf.flags.writeable
+    with pytest.raises(ValueError):
+        first.sampler.cdf[0] = 0.0

@@ -7,9 +7,8 @@ import pytest
 from fedsim.errors import ConfigError
 from fedsim.objectives import (N_CLASSES, N_FEATURES, PARAM_DIM, MiniBatcher,
                                QuadraticObjective, SoftmaxObjective, SoftmaxParams,
-                               generate_synthetic, global_gradient_norm,
-                               load_dataset_csv, quad_global_optimum, quad_gradient,
-                               save_dataset_csv, softmax_loss_grad)
+                               generate_synthetic, load_dataset_csv, save_dataset_csv,
+                               softmax_loss_grad)
 from fedsim.streams import SeededStream
 
 # Label histogram over 10^4 samples at alpha=beta=1, frozen at generator
@@ -19,29 +18,29 @@ BRINGUP_LABEL_HISTOGRAM = [397, 511, 1049, 1381, 1895, 553, 1176, 745, 749, 1544
 
 def test_quad_gradient_values():
     obj = QuadraticObjective(np.array([[2.0, 0.0]]))
-    assert quad_gradient(obj, 0, np.array([2.0])) == pytest.approx([0.0])
-    assert quad_gradient(obj, 1, np.array([7.0])) == pytest.approx([7.0])
-    assert quad_gradient(obj, 0, np.array([0.5])) == pytest.approx([-1.5])
+    assert obj.gradient(0, np.array([2.0])) == pytest.approx([0.0])
+    assert obj.gradient(1, np.array([7.0])) == pytest.approx([7.0])
+    assert obj.gradient(0, np.array([0.5])) == pytest.approx([-1.5])
 
 
 def test_quad_global_optimum():
-    assert quad_global_optimum(QuadraticObjective(np.array([[0.0, 2.0]]))) == pytest.approx([1.0])
+    assert QuadraticObjective(np.array([[0.0, 2.0]])).global_optimum() == pytest.approx([1.0])
     obj = QuadraticObjective(np.array([[1.0, 2.0, 6.0]]))
-    assert quad_global_optimum(obj) == pytest.approx([3.0])
+    assert obj.global_optimum() == pytest.approx([3.0])
     same = QuadraticObjective(np.repeat([[1.5], [2.5]], 4, axis=1))
-    assert quad_global_optimum(same) == pytest.approx([1.5, 2.5])
+    assert same.global_optimum() == pytest.approx([1.5, 2.5])
 
 
 def test_quad_global_gradient_norm():
     obj = QuadraticObjective(np.array([[0.0, 2.0]]))
-    assert global_gradient_norm(obj, np.array([1.0])) == pytest.approx(0.0)
-    assert global_gradient_norm(obj, np.array([0.0])) == pytest.approx(1.0)
+    assert np.linalg.norm(obj.global_gradient(np.array([1.0]))) == pytest.approx(0.0)
+    assert np.linalg.norm(obj.global_gradient(np.array([0.0]))) == pytest.approx(1.0)
 
 
 def test_quad_optimum_is_minimum():
     rng = np.random.default_rng(8)
     obj = QuadraticObjective(rng.normal(size=(4, 6)))
-    x_star = quad_global_optimum(obj)
+    x_star = obj.global_optimum()
     f_star = obj.train_loss(x_star)
     for _ in range(20):
         delta = rng.normal(size=4) * 0.3
@@ -187,10 +186,30 @@ def test_softmax_descent_reduces_gradient_norm():
     ds = generate_synthetic(1.0, 1.0, 3, 30, SeededStream(17).child("data"))
     obj = SoftmaxObjective(ds)
     x = np.zeros(PARAM_DIM)
-    g0 = global_gradient_norm(obj, x)
+    g0 = np.linalg.norm(obj.global_gradient(x))
     for _ in range(1000):
         x = x - 0.5 * obj.global_gradient(x)
-    assert global_gradient_norm(obj, x) < g0
+    assert np.linalg.norm(obj.global_gradient(x)) < g0
+
+
+def test_softmax_fleet_gradient_matches_per_client_on_ragged_subset():
+    ds = generate_synthetic(1.0, 1.0, 30, 250, SeededStream(53).child("data"),
+                            count_mode="lognormal")
+    obj = SoftmaxObjective(ds)
+    b = 48
+    clients = np.array([i for i in range(30) if i % 3 != 1])
+    short = [i for i in clients if len(ds.clients[i].train_y) < b]
+    assert short and len(short) < len(clients)
+    X = np.random.default_rng(53).normal(scale=0.5, size=(PARAM_DIM, len(clients)))
+    batch = obj.fleet_batch(clients, obj.make_batchers(b, SeededStream(54).child("b")))
+    fleet = obj.gradient_fleet(X, batch)
+    batchers = obj.make_batchers(b, SeededStream(54).child("b"))
+    for j, i in enumerate(clients):
+        ref = obj.gradient(int(i), X[:, j], obj.batch_for(int(i), batchers[i]))
+        assert np.max(np.abs(fleet[:, j] - ref)) <= 1e-13
+    out = np.full_like(X, np.nan)
+    assert obj.gradient_fleet(X, batch, out=out) is out
+    assert np.array_equal(out, fleet)
 
 
 def test_minibatcher_epochs_without_replacement():

@@ -62,6 +62,15 @@ def test_integral_two_clients_hand_value():
     assert np.allclose(fedavg_limit_integral([1.0, 0.5]).w, [0.75, 0.25], atol=1e-15)
 
 
+def test_limit_weights_for_tiny_probabilities():
+    # 1 - prod(1 - p) cancels to about six digits at p_i = 1e-10.
+    for route in (fedavg_limit_subset, fedavg_limit_integral):
+        for p in ([1e-10, 1e-10], [1e-15, 1e-15, 1e-15]):
+            w = route(p).w
+            assert w == pytest.approx(np.full(len(p), 1.0 / len(p)), rel=1e-12)
+        assert route([1e-10, 1.0]).w == pytest.approx([0.5e-10, 1.0 - 0.5e-10], rel=1e-12)
+
+
 def test_integral_large_fleet():
     rng = np.random.default_rng(7)
     p = rng.uniform(0.1, 1.0, size=500)
