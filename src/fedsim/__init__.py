@@ -8,15 +8,13 @@ from .algorithms import (AlgorithmConfig, ExperimentResult, FleetState, MetricsR
                          matrix_form_check, run_experiment, run_round)
 from .errors import (CapacityError, ConfigError, ContractViolationError,
                      DivergedRunError, FedsimError, StatisticalError)
-from .link_model import (ActiveSet, StaticLinkProcess, UniformLinkProcess,
-                         ZipfCountLinkProcess, build_trace, probabilities_at,
-                         sample_active_set, zipf_sample)
-from .mixing import (ExpectedSquareMixing, MixingMatrix, build_mixing,
-                     contraction_check, contraction_profile, ergodicity_bound,
+from .link_model import (ActiveSet, StaticLinkProcess, ZipfCountLinkProcess,
+                         build_trace, probabilities_at, sample_active_set)
+from .mixing import (MixingMatrix, build_mixing, contraction_profile, ergodicity_bound,
                      expected_square_exact, expected_square_mc, rho)
 from .numerics import integrate_weighted_product, second_eigenvalue_sym
 from .objectives import (FederatedDataset, QuadraticObjective, SoftmaxObjective,
-                         SoftmaxParams, generate_synthetic, softmax_loss_grad)
+                         generate_synthetic, softmax_loss_grad)
 from .oracles import (LimitWeights, fedavg_limit_integral, fedavg_limit_mc,
                       fedavg_limit_subset, kappa, local_perturbation_check)
 from .streams import SeededStream

@@ -32,7 +32,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, DivergedRunError
-from .link_model import ActiveSet, TraceRound, probabilities_at, sample_active_set
+from .link_model import ActiveSet, TraceRound, build_trace
 from .mixing import build_mixing
 from .streams import SeededStream
 
@@ -88,12 +88,6 @@ class MetricsRow:
     train_loss: float
     test_accuracy: Optional[float]
     active_count: int
-
-
-@dataclass(frozen=True)
-class MatrixFormReport:
-    passed: bool
-    max_deviation: float
 
 
 def computing_clients(active: ActiveSet, cfg: AlgorithmConfig, m: int) -> np.ndarray:
@@ -154,9 +148,8 @@ def run_round(state: FleetState, active: ActiveSet, cfg: AlgorithmConfig,
 
 def matrix_form_check(state_before: FleetState, active: ActiveSet,
                       cfg: AlgorithmConfig, objective,
-                      state_after: FleetState, batch,
-                      tol: float = 1e-10) -> MatrixFormReport:
-    """Verify one FedPBC round equals X' = (X - eta G) W.
+                      state_after: FleetState, batch) -> float:
+    """Largest entry-wise deviation of one FedPBC round from X' = (X - eta G) W.
 
     G's columns are the per-client sums of the s per-step gradients on the
     round's ``batch`` and W is the gossip matrix of the realized active
@@ -173,8 +166,7 @@ def matrix_form_check(state_before: FleetState, active: ActiveSet,
         X = X - cfg.eta * g
     W = build_mixing(active, state_before.num_clients).entries
     predicted = (state_before.X - cfg.eta * G) @ W
-    dev = float(np.max(np.abs(predicted - state_after.X)))
-    return MatrixFormReport(passed=dev <= tol, max_deviation=dev)
+    return float(np.max(np.abs(predicted - state_after.X)))
 
 
 @dataclass
@@ -203,29 +195,25 @@ def run_experiment(cfg: AlgorithmConfig, objective, link_process, T: int,
     Randomness is addressed by purpose: link draws under ``links`` and
     mini-batches under ``batches``/client id, so the two algorithm
     variants driven by the same stream consume identical link traces and
-    identical batches.  Passing ``trace`` replays a pre-sampled trace
-    instead of drawing links.
+    identical batches.  Without ``trace``, the links are drawn up front by
+    ``build_trace`` under ``links``; either way the run replays a trace.
     """
     if T < 1:
         raise ConfigError("round count T must be >= 1")
-    if trace is not None and len(trace) < T:
+    if trace is None:
+        trace = build_trace(link_process, T, stream.child("links"))
+    if len(trace) < T:
         raise ConfigError(f"trace has {len(trace)} rounds, need {T}")
     m = objective.num_clients
     if x0 is None:
         x0 = np.zeros(objective.dim)
     state = FleetState.initial(x0, m)
 
-    link_stream = stream.child("links") if trace is None else None
     batchers = objective.make_batchers(batch_size, stream.child("batches"))
 
     rows: List[MetricsRow] = []
     for t in range(T):
-        if trace is not None:
-            p, active = trace[t].p, trace[t].active
-        else:
-            p = probabilities_at(link_process, t, link_stream)
-            active = sample_active_set(p, t, link_stream)
-
+        active = trace[t].active
         starts = round_starts(state, active, cfg)
         rows.append(_measure(t, starts, objective, len(active)))
 

@@ -17,7 +17,7 @@ import numpy as np
 from .config import parse_config
 from .errors import FedsimError
 from .harness import (mixing_report, oracle_report, reproduce_fig2, reproduce_fig3,
-                      resolve_seed_override, simulate_command)
+                      resolve_seed_override, run_simulation, write_run_outputs)
 from .objectives import generate_synthetic, save_dataset_csv
 from .streams import SeededStream
 
@@ -117,7 +117,9 @@ def main(argv=None) -> int:
             with open(args.config, "r", encoding="utf-8") as fh:
                 cfg = parse_config(fh.read())
             cfg, seed_source = resolve_seed_override(cfg)
-            return simulate_command(cfg, out_dir=args.out, seed_source=seed_source)
+            out = run_simulation(cfg, seed_source=seed_source)
+            write_run_outputs(args.out or cfg.out, out)
+            return out.exit_code
         if args.command == "reproduce-fig2":
             reproduce_fig2(args.scale, args.out, seed=args.seed)
             return 0

@@ -23,8 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from .algorithms import LOCAL_COMPUTE_MODES, VARIANTS
 from .errors import ConfigError
-from .link_model import StaticLinkProcess, UniformLinkProcess, ZipfCountLinkProcess
+from .link_model import StaticLinkProcess, ZipfCountLinkProcess
 
 EXPERIMENTS = ("counterexample", "synthetic")
 
@@ -158,10 +159,10 @@ def parse_config(text: str) -> ExperimentConfig:
 def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.experiment not in EXPERIMENTS:
         raise ConfigError(f"experiment must be one of {EXPERIMENTS}")
-    if cfg.algorithm not in ("fedavg", "fedpbc"):
-        raise ConfigError("algorithm must be 'fedavg' or 'fedpbc'")
-    if cfg.local_compute not in ("all", "active_only"):
-        raise ConfigError("local_compute must be 'all' or 'active_only'")
+    if cfg.algorithm not in VARIANTS:
+        raise ConfigError(f"algorithm must be one of {VARIANTS}")
+    if cfg.local_compute not in LOCAL_COMPUTE_MODES:
+        raise ConfigError(f"local_compute must be one of {LOCAL_COMPUTE_MODES}")
     for key in ("m", "s", "T", "batch_size", "samples_per_client"):
         if getattr(cfg, key) < 1:
             raise ConfigError(f"key '{key}' must be >= 1")
@@ -200,9 +201,10 @@ def make_link_process(spec: str, m: int):
         return StaticLinkProcess([p0] * half + [p1] * (m - half))
     if kind == "uniform":
         try:
-            return UniformLinkProcess(float(rest), m)
+            p = float(rest)
         except ValueError:
             raise ConfigError(f"bad uniform link spec {spec!r}") from None
+        return StaticLinkProcess([p] * m)
     if kind == "zipf":
         parts = [v.strip() for v in rest.split(",")]
         if len(parts) != 3:

@@ -162,13 +162,6 @@ def write_run_outputs(out_dir, output: RunOutput, name: str = "") -> dict:
     return {"metrics": metrics_path, "manifest": manifest_path}
 
 
-def simulate_command(cfg: ExperimentConfig, out_dir: Optional[str] = None,
-                     seed_source: str = "config") -> int:
-    out = run_simulation(cfg, seed_source=seed_source)
-    write_run_outputs(out_dir or cfg.out, out)
-    return out.exit_code
-
-
 def resolve_seed_override(cfg: ExperimentConfig) -> tuple:
     """Apply the FEDSIM_SEED environment override, if present."""
     raw = os.environ.get(SEED_ENV_VAR)
@@ -324,11 +317,11 @@ def mixing_report(p_rounds: Sequence[np.ndarray]) -> List[dict]:
         rho_prod *= r
         records.append({
             "type": "round", "round": t, "m": int(p.size), "floor": c,
-            "entries": [[float(v) for v in row] for row in M.entries],
+            "entries": [[float(v) for v in row] for row in M],
             "rho": r, "ergodicity_bound": bound,
             "rho_within_bound": bool(r <= bound),
             "entry_lower_bound": lower,
-            "entries_above_lower_bound": bool(np.all(M.entries >= lower - 1e-12)),
+            "entries_above_lower_bound": bool(np.all(M >= lower - 1e-12)),
         })
     records.append({
         "type": "summary", "rounds": len(records), "rho_max": rho_max,

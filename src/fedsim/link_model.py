@@ -1,13 +1,12 @@
 """Per-round link activation probabilities and active-set sampling.
 
 A link process emits, for each round t, the vector of probabilities that
-each client's uplink to the server is usable that round.  Three variants
-are supported: a static per-client vector, a uniform scalar, and a
-time-varying heavy-tailed schedule in which each round draws ``n`` ranks
-from a Zipf distribution, counts how many landed on each client's rank,
-normalizes the counts over the clients, and clips the result into
-``[floor, 1]`` (no re-normalization afterwards, so the entries need not
-sum to anything in particular).
+each client's uplink to the server is usable that round.  Two variants
+are supported: a static per-client vector and a time-varying heavy-tailed
+schedule in which each round draws ``n`` ranks from a Zipf distribution,
+counts how many landed on each client's rank, normalizes the counts over
+the clients, and clips the result into ``[floor, 1]`` (no re-normalization
+afterwards, so the entries need not sum to anything in particular).
 """
 
 from __future__ import annotations
@@ -100,37 +99,16 @@ class ZipfSampler:
         return idx + 1
 
 
-def zipf_sample(a: float, stream: SeededStream) -> int:
-    """Draw one Zipf(a) rank (>= 1) from the stream's own generator."""
-    return int(ZipfSampler(a).sample(stream.generator(), 1)[0])
-
-
 class StaticLinkProcess:
     """Fixed per-client activation probabilities."""
 
     def __init__(self, p: Sequence[float]):
-        arr = np.asarray(p, dtype=float)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ConfigError("static link process needs a non-empty probability vector")
-        if np.any(arr <= 0.0) or np.any(arr > 1.0):
-            raise ConfigError("static activation probabilities must lie in (0, 1]")
-        self.p = arr
-        self.m = arr.size
-        self.floor = float(arr.min())
+        self.p = validate_probabilities(p)
 
     def probabilities_at(self, t: int, stream: SeededStream) -> np.ndarray:
         if t < 0:
             raise ConfigError("round index must be >= 0")
         return self.p.copy()
-
-
-class UniformLinkProcess(StaticLinkProcess):
-    """All clients share one activation probability."""
-
-    def __init__(self, p: float, m: int):
-        if m < 1:
-            raise ConfigError("client count must be >= 1")
-        super().__init__(np.full(m, float(p)))
 
 
 class ZipfCountLinkProcess:

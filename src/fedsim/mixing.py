@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -60,21 +60,6 @@ class MixingMatrix:
             raise ContractViolationError("mixing matrix must be doubly stochastic")
 
 
-@dataclass(frozen=True)
-class ExpectedSquareMixing:
-    """E[W^2] for one activation probability vector.
-
-    ``provenance`` is "exact" or "monte_carlo"; Monte Carlo estimates carry
-    their trial count and satisfy the structural invariants only up to
-    sampling noise.
-    """
-
-    m: int
-    entries: np.ndarray
-    provenance: str
-    trials: Optional[int] = None
-
-
 def build_mixing(active: ActiveSet, m: int) -> MixingMatrix:
     """The gossip matrix realized by one active set (identity if |A| <= 1)."""
     members = list(active.members)
@@ -88,23 +73,24 @@ def build_mixing(active: ActiveSet, m: int) -> MixingMatrix:
     return MixingMatrix(m=m, entries=W)
 
 
-def expected_square_exact(p) -> ExpectedSquareMixing:
-    """Closed-form E[W^2] by Gauss–Legendre quadrature (module docstring)."""
+def expected_square_exact(p) -> np.ndarray:
+    """Closed-form m x m E[W^2] by Gauss–Legendre quadrature (module docstring)."""
     p = validate_probabilities(p)
     s, w, P, G = bernoulli_quadrature(p)
     A = p[:, None] * G
     M = (A * (w * s * P)) @ A.T
     M = 0.5 * (M + M.T)  # exactly symmetric: fl(a + b) = fl(b + a)
     M[np.diag_indices(p.size)] = p * (G @ (w * P)) + (1.0 - p)
-    return ExpectedSquareMixing(m=p.size, entries=M, provenance="exact")
+    return M
 
 
-def expected_square_mc(p, trials: int, stream: SeededStream) -> ExpectedSquareMixing:
+def expected_square_mc(p, trials: int, stream: SeededStream) -> np.ndarray:
     """Monte Carlo E[W^2] over ``trials`` sampled active sets.
 
     Uses the per-sample identity (W^2)_jj' = 1{j,j' in A}/|A| off the
     diagonal and (W^2)_jj = 1{j in A}/|A| + 1{j not in A}, which follows
-    from W being the averaging projection on the active block.
+    from W being the averaging projection on the active block.  The
+    estimate meets the structural invariants only up to sampling noise.
     """
     if trials < 1:
         raise ConfigError("trials must be >= 1")
@@ -124,19 +110,17 @@ def expected_square_mc(p, trials: int, stream: SeededStream) -> ExpectedSquareMi
         done += c
     M = acc / trials
     M[np.diag_indices(m)] += inactive / trials
-    M = 0.5 * (M + M.T)
-    return ExpectedSquareMixing(m=m, entries=M, provenance="monte_carlo", trials=trials)
+    return 0.5 * (M + M.T)
 
 
-def rho(M) -> float:
+def rho(M: np.ndarray) -> float:
     """Second-largest eigenvalue of an expected-square mixing matrix.
 
     For a time-varying probability process, evaluate per round and track
     the running maximum (``harness.mixing_report`` does); the analytic
     ``ergodicity_bound`` certifies the unbounded-horizon maximum.
     """
-    entries = M.entries if isinstance(M, ExpectedSquareMixing) else np.asarray(M, float)
-    return second_eigenvalue_sym(entries)
+    return second_eigenvalue_sym(np.asarray(M, float))
 
 
 def ergodicity_bound(c: float, m: int) -> float:
@@ -221,8 +205,3 @@ def contraction_profile(B, p, t_max: int, trials: int,
                                          std_error=float(se),
                                          passed=bool(lhs <= rhs + 3.0 * se)))
     return reports
-
-
-def contraction_check(B, p, t: int, trials: int, stream: SeededStream) -> ContractionReport:
-    """Contraction inequality at a single horizon t."""
-    return contraction_profile(B, p, t, trials, stream)[-1]

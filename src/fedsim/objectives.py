@@ -17,7 +17,6 @@ Two families:
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -91,45 +90,21 @@ class QuadraticObjective:
         return None
 
 
-@dataclass(frozen=True)
-class SoftmaxParams:
-    """Weight matrix plus bias, flattened to one 610-vector for the engines."""
-
-    weight: np.ndarray
-    bias: np.ndarray
-
-    def __post_init__(self):
-        if self.weight.shape != (N_CLASSES, N_FEATURES):
-            raise ConfigError(f"weight must be {N_CLASSES}x{N_FEATURES}")
-        if self.bias.shape != (N_CLASSES,):
-            raise ConfigError(f"bias must have length {N_CLASSES}")
-
-    def flatten(self) -> np.ndarray:
-        return np.concatenate([self.weight.ravel(), self.bias])
-
-    @staticmethod
-    def from_vector(vec: np.ndarray) -> "SoftmaxParams":
-        vec = np.asarray(vec, dtype=float)
-        if vec.shape != (PARAM_DIM,):
-            raise ConfigError(f"parameter vector must have dimension {PARAM_DIM}")
-        w = vec[: N_CLASSES * N_FEATURES].reshape(N_CLASSES, N_FEATURES)
-        return SoftmaxParams(weight=w.copy(), bias=vec[N_CLASSES * N_FEATURES:].copy())
-
-
 def _logits(vec: np.ndarray, features: np.ndarray) -> np.ndarray:
     w = vec[: N_CLASSES * N_FEATURES].reshape(N_CLASSES, N_FEATURES)
     b = vec[N_CLASSES * N_FEATURES:]
     return features @ w.T + b
 
 
-def softmax_loss_grad(params, features: np.ndarray,
+def softmax_loss_grad(vec: np.ndarray, features: np.ndarray,
                       labels: np.ndarray) -> Tuple[float, np.ndarray]:
-    """Mean cross-entropy over the batch and its exact flattened gradient.
+    """Mean cross-entropy over the batch at the flattened 610-parameter
+    ``vec`` (weights row-major, then bias) and its exact gradient.
 
     Logits are stabilized by max subtraction, so overflow cannot produce
     non-finite intermediates.
     """
-    vec = params.flatten() if isinstance(params, SoftmaxParams) else np.asarray(params, float)
+    vec = np.asarray(vec, float)
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels)
     if features.ndim != 2 or features.shape[1] != N_FEATURES:
@@ -242,20 +217,36 @@ def save_dataset_csv(path, dataset: FederatedDataset) -> None:
 
 
 def load_dataset_csv(path) -> FederatedDataset:
+    """Read a file written by ``save_dataset_csv``; a header or row that it
+    could not have written raises ``ConfigError`` naming the line."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         header = fh.readline().rstrip("\n").split(",")
         if len(header) != 5 or header[0] != DATASET_MAGIC:
             raise ConfigError(f"not a {DATASET_MAGIC} dataset file")
-        alpha, beta = float(header[1]), float(header[2])
-        m, seed = int(header[3]), int(header[4])
+        try:
+            alpha, beta = float(header[1]), float(header[2])
+            m, seed = int(header[3]), int(header[4])
+        except ValueError:
+            raise ConfigError(f"dataset line 1: malformed header field in {header!r}") from None
+        if m < 1:
+            raise ConfigError(f"dataset line 1: client count must be >= 1, got {m}")
         rows = {("train", i): ([], []) for i in range(m)}
         rows.update({("test", i): ([], []) for i in range(m)})
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
+            where = f"dataset line {lineno}"
             rec = line.rstrip("\n").split(",")
-            cid, split, label = int(rec[0]), rec[1], int(rec[2])
-            feats = [float(v) for v in rec[3:]]
-            if len(feats) != N_FEATURES:
-                raise ConfigError("bad feature count in dataset row")
+            if len(rec) != 3 + N_FEATURES:
+                raise ConfigError(f"{where}: expected {3 + N_FEATURES} fields, got {len(rec)}")
+            try:
+                cid, split, label = int(rec[0]), rec[1], int(rec[2])
+                feats = [float(v) for v in rec[3:]]
+            except ValueError:
+                raise ConfigError(f"{where}: malformed field") from None
+            if (split, cid) not in rows:
+                raise ConfigError(f"{where}: need split 'train' or 'test' and a client "
+                                  f"id in 0..{m - 1}, got {split!r} and {cid}")
+            if not 0 <= label < N_CLASSES:
+                raise ConfigError(f"{where}: label {label} outside 0..{N_CLASSES - 1}")
             xs, ys = rows[(split, cid)]
             xs.append(feats)
             ys.append(label)

@@ -17,8 +17,7 @@ Three independent routes compute the weights:
 
 * ``fedavg_limit_subset``   — inclusion-exclusion over subsets:
   E[1/(1+S_i)] = sum_{S subset of others} (-1)^{|S|} prod_{z in S} p_z / (|S|+1),
-  enumerated literally for small m and via elementary symmetric
-  polynomials up to m = 20.
+  enumerated literally, one term per subset, up to m = 12.
 * ``fedavg_limit_integral`` — the identity E[1/(1+S_i)] =
   ∫_0^1 prod_{k != i} ((1-p_k) + p_k s) ds, whose integrand is a
   polynomial of degree m - 1, evaluated exactly by Gauss–Legendre
@@ -46,8 +45,7 @@ from .numerics import bernoulli_quadrature, validate_probabilities
 from .objectives import QuadraticObjective
 from .streams import SeededStream
 
-SUBSET_ENUM_MAX = 12   # literal subset enumeration bound
-SUBSET_MAX = 20        # elementary-symmetric accumulation bound
+SUBSET_MAX = 12  # literal enumeration visits 2^(m-1) subsets per client
 _MC_CHUNK = 1 << 18
 
 WEIGHT_SUM_TOL = 1e-9
@@ -90,19 +88,8 @@ def _bracket_enumerated(others: np.ndarray) -> float:
     return math.fsum(terms)
 
 
-def _bracket_esp(others: np.ndarray) -> float:
-    # Same sum grouped by subset size via elementary symmetric polynomials.
-    n = len(others)
-    e = np.zeros(n + 1)
-    e[0] = 1.0
-    for q in others:
-        e[1:] += q * e[:-1].copy()
-    signs = np.where(np.arange(n + 1) % 2 == 0, 1.0, -1.0)
-    return float(np.sum(signs * e / (np.arange(n + 1) + 1.0)))
-
-
 def fedavg_limit_subset(p) -> LimitWeights:
-    """Limit weights by explicit subset enumeration (m <= 20)."""
+    """Limit weights by explicit subset enumeration (m <= 12)."""
     p = validate_probabilities(p)
     m = p.size
     if m > SUBSET_MAX:
@@ -110,11 +97,10 @@ def fedavg_limit_subset(p) -> LimitWeights:
             f"subset route enumerates 2^m patterns and is capped at m={SUBSET_MAX}; "
             "use fedavg_limit_integral for larger fleets")
     denom = _nonempty_probability(p)
-    bracket = _bracket_enumerated if m <= SUBSET_ENUM_MAX else _bracket_esp
     w = np.empty(m)
     for i in range(m):
         others = np.delete(p, i)
-        w[i] = p[i] * bracket(others) / denom
+        w[i] = p[i] * _bracket_enumerated(others) / denom
     return LimitWeights(w=w, method="subset")
 
 

@@ -4,8 +4,8 @@ import pytest
 from fedsim.algorithms import (AlgorithmConfig, FleetState, matrix_form_check,
                                run_experiment, run_round)
 from fedsim.errors import ConfigError, DivergedRunError
-from fedsim.link_model import (ActiveSet, StaticLinkProcess, TraceRound, build_trace,
-                               sample_active_set)
+from fedsim.link_model import (ActiveSet, StaticLinkProcess, TraceRound,
+                               ZipfCountLinkProcess, build_trace, sample_active_set)
 from fedsim.objectives import QuadraticObjective, SoftmaxObjective, generate_synthetic
 from fedsim.streams import SeededStream
 
@@ -132,8 +132,7 @@ def test_matrix_form_identity_trivial_cases():
     for members in [(0, 1, 2, 3), ()]:
         active = ActiveSet(0, members)
         nxt = run_round(state, active, cfg, obj, obj.targets)
-        rep = matrix_form_check(state, active, cfg, obj, nxt, obj.targets)
-        assert rep.passed, rep
+        assert matrix_form_check(state, active, cfg, obj, nxt, obj.targets) <= 1e-10
 
 
 def test_matrix_form_identity_random_rounds():
@@ -145,8 +144,7 @@ def test_matrix_form_identity_random_rounds():
     for t in range(100):
         active = sample_active_set(np.full(7, 0.4), t, stream)
         nxt = run_round(state, active, cfg, obj, obj.targets)
-        rep = matrix_form_check(state, active, cfg, obj, nxt, obj.targets)
-        assert rep.passed and rep.max_deviation <= 1e-10
+        assert matrix_form_check(state, active, cfg, obj, nxt, obj.targets) <= 1e-10
         state = nxt
 
 
@@ -194,6 +192,18 @@ def test_run_experiment_replays_trace():
     res = run_experiment(cfg, obj, proc, 25, SeededStream(14).child("sim"), trace=trace)
     for row, tr in zip(res.rows, trace):
         assert row.active_count == len(tr.active)
+
+
+def test_run_experiment_without_trace_replays_links_stream():
+    obj = QuadraticObjective(np.random.default_rng(5).normal(size=(2, 6)))
+    proc = ZipfCountLinkProcess(a=3.0, n=200, floor=0.1, m=6)
+    cfg = AlgorithmConfig("fedpbc", s=2, eta=0.1)
+    sim = SeededStream(15).child("sim")
+    drawn = run_experiment(cfg, obj, proc, 30, sim)
+    replayed = run_experiment(cfg, obj, proc, 30, sim,
+                              trace=build_trace(proc, 30, sim.child("links")))
+    assert drawn.rows == replayed.rows
+    assert np.array_equal(drawn.final_state.X, replayed.final_state.X)
 
 
 def test_run_experiment_divergence_carries_partial_rows():

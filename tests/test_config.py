@@ -4,7 +4,7 @@ import pytest
 from fedsim.config import (ExperimentConfig, make_link_process, parse_config,
                            serialize_config)
 from fedsim.errors import ConfigError
-from fedsim.link_model import StaticLinkProcess, UniformLinkProcess, ZipfCountLinkProcess
+from fedsim.link_model import StaticLinkProcess, ZipfCountLinkProcess
 
 MINIMAL_COUNTEREXAMPLE = """
 experiment = counterexample
@@ -56,6 +56,13 @@ def test_out_of_range_values_name_key():
         parse_config(MINIMAL_COUNTEREXAMPLE + "m = abc\n")
 
 
+@pytest.mark.parametrize("link", ["static:nan,0.5,0.5,0.5", "halves:0.5,nan", "uniform:nan"])
+def test_nan_link_probability_rejected(link):
+    # NaN fails every comparison, so a client given NaN would never activate.
+    with pytest.raises(ConfigError, match=r"\(0, 1\]"):
+        parse_config(MINIMAL_COUNTEREXAMPLE.replace("halves:0.9,0.1", link) + "m = 4\n")
+
+
 def test_duplicate_key_rejected():
     with pytest.raises(ConfigError, match="duplicate"):
         parse_config(MINIMAL_COUNTEREXAMPLE + "seed = 8\n")
@@ -102,7 +109,9 @@ def test_scaled_applies_to_m_t_d():
 
 
 def test_link_process_factory():
-    assert isinstance(make_link_process("uniform:0.5", 4), UniformLinkProcess)
+    uniform = make_link_process("uniform:0.5", 4)
+    assert isinstance(uniform, StaticLinkProcess)
+    assert uniform.p.tolist() == [0.5] * 4
     assert isinstance(make_link_process("zipf:3,100,0.1", 4), ZipfCountLinkProcess)
     proc = make_link_process("halves:0.9,0.1", 5)
     assert isinstance(proc, StaticLinkProcess)

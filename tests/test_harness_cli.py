@@ -185,6 +185,15 @@ def test_mixing_cli_near_uniform_p_file(tmp_path, capsys, base):
     assert round_rec["rho_within_bound"] and round_rec["entries_above_lower_bound"]
 
 
+def test_simulate_rejects_nan_link_probability(tmp_path, capsys):
+    text = FAST_COUNTEREXAMPLE.format(alg="fedavg", seed=1).replace(
+        "halves:0.9,0.1", "static:nan,0.5,0.5,0.5,0.5,0.5")
+    cfg_path = write_config(tmp_path, text)
+    assert_cli_error(capsys, ["simulate", "--config", str(cfg_path),
+                              "--out", str(tmp_path / "run")])
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("command", ["mixing", "oracle"])
 def test_cli_rejects_nan_probability(capsys, command):
     assert_cli_error(capsys, [command, "--p", "0.5,nan"])

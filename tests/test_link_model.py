@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from fedsim.errors import ConfigError
-from fedsim.link_model import (ActiveSet, StaticLinkProcess, UniformLinkProcess,
-                               ZipfCountLinkProcess, ZipfSampler, build_trace,
-                               probabilities_at, read_trace_csv, sample_active_set,
-                               write_trace_csv, zipf_sample)
+from fedsim.link_model import (ActiveSet, StaticLinkProcess, ZipfCountLinkProcess,
+                               ZipfSampler, build_trace, probabilities_at,
+                               read_trace_csv, sample_active_set, write_trace_csv)
 from fedsim.streams import SeededStream
 
 
@@ -37,8 +36,8 @@ def test_zipf_rank_one_probability_matches_zeta():
     assert draws.min() >= 1
 
 
-def test_zipf_sample_single_draw_and_validation():
-    assert zipf_sample(3.0, SeededStream(5).child("one")) >= 1
+def test_zipf_single_draw_and_exponent_validation():
+    assert ZipfSampler(3.0).sample(SeededStream(5).child("one").generator(), 1)[0] >= 1
     with pytest.raises(ConfigError):
         ZipfSampler(1.0)
     with pytest.raises(ConfigError):
@@ -128,12 +127,6 @@ def test_trace_roundtrip(tmp_path):
         assert loaded.round == orig.round
         assert np.array_equal(loaded.p, orig.p)
         assert loaded.active.members == orig.active.members
-
-
-def test_uniform_process_floor():
-    proc = UniformLinkProcess(0.25, 4)
-    assert proc.floor == 0.25
-    assert StaticLinkProcess([0.5, 0.2]).floor == 0.2
 
 
 def write_rows(path, rows, header="round,client,p,active"):

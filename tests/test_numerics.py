@@ -48,7 +48,7 @@ def test_second_eigenvalue_near_uniform_clustered_spectrum(base):
     # p_i = b (1 + 0.01 i/59) clusters the top of the deflated spectrum,
     # which stalls iterative eigensolvers with a residual test.
     p = base * (1.0 + 0.01 * np.arange(60) / 59)
-    M = expected_square_exact(p).entries
+    M = expected_square_exact(p)
     assert second_eigenvalue_sym(M) == pytest.approx(np.linalg.eigvalsh(M)[-2], abs=1e-12)
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from fedsim.errors import ConfigError
 from fedsim.objectives import (N_CLASSES, N_FEATURES, PARAM_DIM, MiniBatcher,
-                               QuadraticObjective, SoftmaxObjective, SoftmaxParams,
+                               QuadraticObjective, SoftmaxObjective,
                                generate_synthetic, load_dataset_csv, save_dataset_csv,
                                softmax_loss_grad)
 from fedsim.streams import SeededStream
@@ -45,15 +45,6 @@ def test_quad_optimum_is_minimum():
     for _ in range(20):
         delta = rng.normal(size=4) * 0.3
         assert obj.train_loss(x_star + delta) > f_star
-
-
-def test_softmax_params_roundtrip():
-    rng = np.random.default_rng(2)
-    params = SoftmaxParams(weight=rng.normal(size=(N_CLASSES, N_FEATURES)),
-                           bias=rng.normal(size=N_CLASSES))
-    back = SoftmaxParams.from_vector(params.flatten())
-    assert np.array_equal(back.weight, params.weight)
-    assert np.array_equal(back.bias, params.bias)
 
 
 def test_softmax_zero_params_uniform_loss():
@@ -105,11 +96,11 @@ def test_softmax_overflow_stabilized():
 
 def test_bias_shift_preserves_predictions():
     rng = np.random.default_rng(12)
-    params = SoftmaxParams(weight=rng.normal(size=(N_CLASSES, N_FEATURES)),
-                           bias=rng.normal(size=N_CLASSES))
+    weight = rng.normal(size=(N_CLASSES, N_FEATURES))
+    bias = rng.normal(size=N_CLASSES)
     feats = rng.normal(size=(50, N_FEATURES))
-    logits = feats @ params.weight.T + params.bias
-    shifted = feats @ params.weight.T + (params.bias + 3.7)
+    logits = feats @ weight.T + bias
+    shifted = feats @ weight.T + (bias + 3.7)
     assert np.array_equal(np.argmax(logits, axis=1), np.argmax(shifted, axis=1))
 
 
@@ -171,6 +162,46 @@ def test_dataset_file_roundtrip_and_determinism(tmp_path):
         assert np.array_equal(lc.train_y, oc.train_y)
         assert np.array_equal(lc.test_x, oc.test_x)
         assert np.array_equal(lc.test_y, oc.test_y)
+
+
+def corrupt_dataset(tmp_path, line, edit):
+    """A two-client dataset file with ``edit`` applied to the fields of one
+    line (0 is the header)."""
+    path = tmp_path / "d.csv"
+    save_dataset_csv(path, generate_synthetic(1.0, 1.0, 2, 5, SeededStream(4).child("data")))
+    lines = path.read_text(encoding="utf-8").splitlines()
+    fields = lines[line].split(",")
+    edit(fields)
+    lines[line] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def set_field(i, value):
+    def edit(fields):
+        fields[i] = value
+    return edit
+
+
+@pytest.mark.parametrize("line,edit,message", [
+    (3, set_field(0, "2"), "client id in 0..1"),
+    (3, set_field(0, "-1"), "client id in 0..1"),
+    (3, set_field(1, "valid"), "'train' or 'test'"),
+    (3, set_field(0, "x"), "malformed field"),
+    (3, set_field(2, "1.5"), "malformed field"),
+    (3, lambda fields: fields.pop(), "expected 63 fields, got 62"),
+    (0, set_field(3, "two"), "malformed header field"),
+    (0, set_field(3, "0"), "client count must be >= 1"),
+    (3, set_field(2, "12"), "label 12 outside 0..9"),
+    (3, set_field(2, "-1"), "label -1 outside 0..9"),
+], ids=["client-above-m", "client-negative", "split", "id-not-integer",
+        "label-not-integer", "short-row", "header-field", "header-m-zero", "label-12",
+        "label-minus-1"])
+def test_load_dataset_rejects_bad_row(tmp_path, line, edit, message):
+    path = corrupt_dataset(tmp_path, line, edit)
+    where = "dataset line 1" if line == 0 else f"dataset line {line + 1}:"
+    with pytest.raises(ConfigError, match=f"{where}.*{message}"):
+        load_dataset_csv(path)
 
 
 def test_softmax_objective_metrics():
