@@ -178,11 +178,11 @@ class ExperimentResult:
 def _measure(t: int, starts: np.ndarray, objective, active_count: int) -> MetricsRow:
     with np.errstate(over="ignore", invalid="ignore"):
         x_bar = starts.mean(axis=1)
-        grad_norm = float(np.linalg.norm(objective.global_gradient(x_bar)))
+        loss, grad = objective.loss_and_gradient(x_bar)
         dev = starts - x_bar[:, None]
         consensus = float((dev * dev).sum() / starts.shape[1])
-        return MetricsRow(round=t, grad_norm=grad_norm, consensus_error=consensus,
-                          train_loss=objective.train_loss(x_bar),
+        return MetricsRow(round=t, grad_norm=float(np.linalg.norm(grad)),
+                          consensus_error=consensus, train_loss=loss,
                           test_accuracy=objective.test_accuracy(x_bar),
                           active_count=active_count)
 

@@ -152,9 +152,7 @@ def probabilities_at(process, t: int, stream: SeededStream) -> np.ndarray:
 
 def sample_active_set(p: np.ndarray, t: int, stream: SeededStream) -> ActiveSet:
     """Independent Bernoulli(p_i) activation per client, addressed by round."""
-    p = np.asarray(p, dtype=float)
-    if np.any(p < 0.0) or np.any(p > 1.0):
-        raise ConfigError("activation probabilities must lie in [0, 1]")
+    p = validate_probabilities(p, allow_zero=True)
     gen = stream.child("bern", t).generator()
     draws = gen.random(p.size)
     members = tuple(int(i) for i in np.nonzero(draws < p)[0])

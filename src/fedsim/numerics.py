@@ -43,14 +43,18 @@ STOCHASTIC_TOL = 1e-12
 _NEWTON_STEPS = 2
 
 
-def validate_probabilities(p) -> np.ndarray:
-    """A non-empty vector of activation probabilities, each in (0, 1]."""
+def validate_probabilities(p, *, allow_zero: bool = False) -> np.ndarray:
+    """A non-empty vector of activation probabilities, each in (0, 1], or
+    in [0, 1] with ``allow_zero`` (a single Bernoulli draw is defined at 0;
+    the mixing and limit results need every p_i > 0)."""
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise ConfigError("need a non-empty probability vector")
     # Written so that NaN fails the test as well.
-    if not np.all((p > 0.0) & (p <= 1.0)):
-        raise ConfigError("activation probabilities must lie in (0, 1]")
+    above = p >= 0.0 if allow_zero else p > 0.0
+    if not np.all(above & (p <= 1.0)):
+        raise ConfigError("activation probabilities must lie in "
+                          f"{'[' if allow_zero else '('}0, 1]")
     return p
 
 

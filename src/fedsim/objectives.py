@@ -17,7 +17,7 @@ Two families:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -79,21 +79,26 @@ class QuadraticObjective:
         """Column mean of the targets, the unique global minimizer."""
         return self.targets.mean(axis=1)
 
+    def loss_and_gradient(self, x: np.ndarray) -> Tuple[float, np.ndarray]:
+        """Mean loss over the clients at ``x`` and its gradient."""
+        diffs = x[:, None] - self.targets
+        return (float(0.5 * (diffs * diffs).sum() / self.num_clients),
+                x - self.global_optimum())
+
     def global_gradient(self, x: np.ndarray) -> np.ndarray:
-        return x - self.global_optimum()
+        return self.loss_and_gradient(x)[1]
 
     def train_loss(self, x: np.ndarray) -> float:
-        diffs = x[:, None] - self.targets
-        return float(0.5 * (diffs * diffs).sum() / self.num_clients)
+        return self.loss_and_gradient(x)[0]
 
     def test_accuracy(self, x: np.ndarray) -> Optional[float]:
         return None
 
 
-def _logits(vec: np.ndarray, features: np.ndarray) -> np.ndarray:
-    w = vec[: N_CLASSES * N_FEATURES].reshape(N_CLASSES, N_FEATURES)
-    b = vec[N_CLASSES * N_FEATURES:]
-    return features @ w.T + b
+def _split(vec: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The 10 x 60 weights and the bias of a flattened parameter vector."""
+    n_w = N_CLASSES * N_FEATURES
+    return vec[:n_w].reshape(N_CLASSES, N_FEATURES), vec[n_w:]
 
 
 def softmax_loss_grad(vec: np.ndarray, features: np.ndarray,
@@ -112,7 +117,8 @@ def softmax_loss_grad(vec: np.ndarray, features: np.ndarray,
     n = features.shape[0]
     if n == 0:
         raise ConfigError("batch must be non-empty")
-    z = _logits(vec, features)
+    w, b = _split(vec)
+    z = features @ w.T + b
     z -= z.max(axis=1, keepdims=True)
     expz = np.exp(z)
     denom = expz.sum(axis=1, keepdims=True)
@@ -288,15 +294,50 @@ class MiniBatcher:
         return out
 
 
+# Rows per block of the stacked full-data passes.  A block of 400 makes
+# 400 x 60 x 10 = 240k multiply-adds per product, under the 4 * 65536 from
+# which OpenBLAS splits a GEMM across threads.  numpy and scipy each load
+# their own OpenBLAS with its own thread pool, and one product over every
+# row, threaded inside scipy's L-BFGS-B, makes the pools fight: on two
+# cores an L-BFGS solve over 6,000 rows took 16.6 s that way and 1.5 s in
+# blocks.  Threads gained nothing on these passes where they did not fight.
+FULL_PASS_BLOCK = 400
+
+
+def _blocks(n: int):
+    """Slices of ``range(n)`` of at most ``FULL_PASS_BLOCK`` rows each."""
+    return (slice(start, start + FULL_PASS_BLOCK) for start in range(0, n, FULL_PASS_BLOCK))
+
+
+def _stack(features: List[np.ndarray], labels: List[np.ndarray]):
+    """Every client's rows stacked, with per-sample weights 1/(m n_i), so a
+    weighted sum over the rows is the mean over clients of per-client means;
+    then per-client views of the stacked features and labels."""
+    sizes = np.array([len(y) for y in labels])
+    stacked_x, stacked_y = np.concatenate(features), np.concatenate(labels)
+    weights = np.repeat(1.0 / (len(sizes) * sizes), sizes)
+    bounds = np.cumsum(sizes)[:-1]
+    return ((stacked_x, stacked_y, weights),
+            np.split(stacked_x, bounds), np.split(stacked_y, bounds))
+
+
 class SoftmaxObjective:
     """Softmax regression over a federated dataset, one loss per client."""
 
     kind = "softmax"
 
     def __init__(self, dataset: FederatedDataset):
-        self.dataset = dataset
         self.dim = PARAM_DIM
         self.num_clients = dataset.num_clients
+        clients = dataset.clients
+        self._train, train_x, train_y = _stack([cl.train_x for cl in clients],
+                                               [cl.train_y for cl in clients])
+        self._test, test_x, test_y = _stack([cl.test_x for cl in clients],
+                                            [cl.test_y for cl in clients])
+        # The same dataset, its client arrays views of the stacked rows, so
+        # that once the caller lets go of the original the rows are held once.
+        self.dataset = replace(dataset, clients=[
+            ClientData(*arrays) for arrays in zip(train_x, train_y, test_x, test_y)])
 
     def gradient(self, i: int, x: np.ndarray, batch) -> np.ndarray:
         features, labels = batch
@@ -347,21 +388,41 @@ class SoftmaxObjective:
         out[n_w:] = z.sum(axis=1).T
         return out
 
+    def loss_and_gradient(self, x: np.ndarray) -> Tuple[float, np.ndarray]:
+        """The mean over clients of each client's mean train loss at ``x``,
+        and its gradient, in one pass over the stacked train rows."""
+        features, labels, weights = self._train
+        w, b = _split(np.asarray(x, float))
+        loss = 0.0
+        grad_w = np.zeros((N_CLASSES, N_FEATURES))
+        grad_b = np.zeros(N_CLASSES)
+        for rows in _blocks(len(labels)):
+            f, y, wt = features[rows], labels[rows], weights[rows]
+            z = f @ w.T + b
+            z -= z.max(axis=1, keepdims=True)
+            delta = np.exp(z)
+            denom = delta.sum(axis=1)
+            picked = np.arange(len(y)), y
+            loss -= wt @ (z[picked] - np.log(denom))
+            # Weighted softmax probabilities less the weighted one-hot labels.
+            delta *= (wt / denom)[:, None]
+            delta[picked] -= wt
+            grad_w += delta.T @ f
+            grad_b += delta.sum(axis=0)
+        return float(loss), np.concatenate([grad_w.ravel(), grad_b])
+
     def global_gradient(self, x: np.ndarray) -> np.ndarray:
-        total = np.zeros(PARAM_DIM)
-        for cl in self.dataset.clients:
-            _, grad = softmax_loss_grad(x, cl.train_x, cl.train_y)
-            total += grad
-        return total / self.num_clients
+        return self.loss_and_gradient(x)[1]
 
     def train_loss(self, x: np.ndarray) -> float:
-        losses = [softmax_loss_grad(x, cl.train_x, cl.train_y)[0]
-                  for cl in self.dataset.clients]
-        return float(np.mean(losses))
+        return self.loss_and_gradient(x)[0]
 
     def test_accuracy(self, x: np.ndarray) -> float:
-        accs = []
-        for cl in self.dataset.clients:
-            pred = np.argmax(_logits(np.asarray(x, float), cl.test_x), axis=1)
-            accs.append(float((pred == cl.test_y).mean()))
-        return float(np.mean(accs))
+        """The mean over clients of each client's test accuracy at ``x``."""
+        features, labels, weights = self._test
+        w, b = _split(np.asarray(x, float))
+        accuracy = 0.0
+        for rows in _blocks(len(labels)):
+            pred = np.argmax(features[rows] @ w.T + b, axis=1)
+            accuracy += weights[rows] @ (pred == labels[rows])
+        return float(accuracy)

@@ -10,7 +10,7 @@ from fedsim.cli import main
 from fedsim.config import parse_config
 from fedsim.harness import (config_hash, read_metrics_csv, reproduce_fig2,
                             reproduce_fig3, run_simulation, write_run_outputs)
-from fedsim.objectives import load_dataset_csv
+from fedsim.objectives import QuadraticObjective, load_dataset_csv
 
 FAST_COUNTEREXAMPLE = """
 experiment = counterexample
@@ -47,6 +47,23 @@ def manifest_without_walltime(path):
         data = json.load(fh)
     data.pop("wall_time_sec")
     return data
+
+
+def test_quadratic_metrics_csv_is_the_separate_terms_bytes(tmp_path, monkeypatch):
+    """The one measurement call writes the metrics.csv bytes that the train
+    loss and the global gradient, each formed on its own, write."""
+    cfg_path = write_config(tmp_path, FAST_COUNTEREXAMPLE.format(alg="fedavg", seed=9))
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "one")]) == 0
+
+    def separate_terms(self, x):
+        diffs = x[:, None] - self.targets
+        return (float(0.5 * (diffs * diffs).sum() / self.num_clients),
+                x - self.targets.mean(axis=1))
+
+    monkeypatch.setattr(QuadraticObjective, "loss_and_gradient", separate_terms)
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "two")]) == 0
+    assert filecmp.cmp(tmp_path / "one" / "metrics.csv", tmp_path / "two" / "metrics.csv",
+                       shallow=False)
 
 
 def test_simulate_writes_metrics_and_manifest(tmp_path):

@@ -82,6 +82,12 @@ def test_sample_active_set_degenerate_probabilities():
     assert sample_active_set(np.array([0.0, 0.0]), 1, s).members == ()
 
 
+@pytest.mark.parametrize("p", [[float("nan"), 0.5, 1.0], [0.5, -0.1], [1.5, 0.5], []])
+def test_sample_active_set_rejects_invalid_probabilities(p):
+    with pytest.raises(ConfigError):
+        sample_active_set(np.array(p), 0, SeededStream(1).child("links"))
+
+
 def test_sample_active_set_is_deterministic_per_round():
     a = sample_active_set(np.array([0.4, 0.6]), 9, SeededStream(8).child("links"))
     b = sample_active_set(np.array([0.4, 0.6]), 9, SeededStream(8).child("links"))

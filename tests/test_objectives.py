@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from fedsim.errors import ConfigError
-from fedsim.objectives import (N_CLASSES, N_FEATURES, PARAM_DIM, MiniBatcher,
-                               QuadraticObjective, SoftmaxObjective,
+from fedsim.objectives import (FULL_PASS_BLOCK, N_CLASSES, N_FEATURES, PARAM_DIM,
+                               MiniBatcher, QuadraticObjective, SoftmaxObjective,
                                generate_synthetic, load_dataset_csv, save_dataset_csv,
                                softmax_loss_grad)
 from fedsim.streams import SeededStream
@@ -202,6 +202,51 @@ def test_load_dataset_rejects_bad_row(tmp_path, line, edit, message):
     where = "dataset line 1" if line == 0 else f"dataset line {line + 1}:"
     with pytest.raises(ConfigError, match=f"{where}.*{message}"):
         load_dataset_csv(path)
+
+
+def test_quad_loss_and_gradient_is_the_separate_terms_bit_for_bit():
+    targets = np.random.default_rng(7).normal(size=(5, 9))
+    obj = QuadraticObjective(targets)
+    x = np.random.default_rng(8).normal(size=5)
+    loss, grad = obj.loss_and_gradient(x)
+    diffs = x[:, None] - targets
+    assert loss == float(0.5 * (diffs * diffs).sum() / 9) == obj.train_loss(x)
+    assert np.array_equal(grad, x - targets.mean(axis=1))
+    assert np.array_equal(grad, obj.global_gradient(x))
+
+
+def per_client_means(dataset, x):
+    """Train loss, gradient and test accuracy as means of per-client passes."""
+    results = [softmax_loss_grad(x, cl.train_x, cl.train_y) for cl in dataset.clients]
+    w, b = x[:N_CLASSES * N_FEATURES].reshape(N_CLASSES, N_FEATURES), x[N_CLASSES * N_FEATURES:]
+    accs = [np.mean(np.argmax(cl.test_x @ w.T + b, axis=1) == cl.test_y)
+            for cl in dataset.clients]
+    return (np.mean([loss for loss, _ in results]),
+            np.mean([grad for _, grad in results], axis=0), np.mean(accs))
+
+
+@pytest.mark.parametrize("m, count_mode", [(20, "lognormal"), (1, "fixed")])
+def test_stacked_pass_matches_per_client_means(m, count_mode):
+    ds = generate_synthetic(1.0, 1.0, m, 250, SeededStream(61).child("data"),
+                            count_mode=count_mode)
+    obj = SoftmaxObjective(ds)
+    for mine, theirs in zip(obj.dataset.clients, ds.clients, strict=True):
+        for field in ("train_x", "train_y", "test_x", "test_y"):
+            assert np.array_equal(getattr(mine, field), getattr(theirs, field))
+    if m > 1:
+        sizes = [len(cl.train_y) for cl in ds.clients]
+        assert len(set(sizes)) > 1 and sum(sizes) > 2 * FULL_PASS_BLOCK
+        assert sum(sizes) % FULL_PASS_BLOCK
+    rng = np.random.default_rng(62)
+    for scale in (0.0, 0.5, 3.0):
+        x = rng.normal(scale=scale, size=PARAM_DIM)
+        ref_loss, ref_grad, ref_acc = per_client_means(ds, x)
+        loss, grad = obj.loss_and_gradient(x)
+        assert abs(loss - ref_loss) <= 1e-13 * abs(ref_loss)
+        assert np.max(np.abs(grad - ref_grad)) <= 1e-13 * np.max(np.abs(ref_grad))
+        assert abs(obj.test_accuracy(x) - ref_acc) <= 1e-15
+        assert obj.train_loss(x) == loss
+        assert np.array_equal(obj.global_gradient(x), grad)
 
 
 def test_softmax_objective_metrics():
