@@ -49,13 +49,14 @@ class AlgorithmConfig:
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
-            raise ConfigError(f"unknown variant {self.variant!r}")
+            raise ConfigError(f"key 'algorithm' must be one of {VARIANTS}, got {self.variant!r}")
         if self.local_compute not in LOCAL_COMPUTE_MODES:
-            raise ConfigError(f"unknown local_compute mode {self.local_compute!r}")
+            raise ConfigError(f"key 'local_compute' must be one of {LOCAL_COMPUTE_MODES}, "
+                              f"got {self.local_compute!r}")
         if self.s < 1:
-            raise ConfigError("local step count s must be >= 1")
+            raise ConfigError("key 's' must be >= 1")
         if not (self.eta > 0):
-            raise ConfigError("step size eta must be > 0")
+            raise ConfigError("key 'eta' must be > 0")
 
 
 @dataclass

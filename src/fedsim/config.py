@@ -7,10 +7,11 @@ floats at 17 significant digits) for which parse-serialize-parse is a
 fixpoint; run manifests hash this canonical text.
 
 Required keys: ``experiment``, ``algorithm``, ``link``, ``seed`` (runs
-never default to wall-clock seeds).  Everything else has documented
-per-experiment defaults matching the reference setups: counterexample
-m=100, d=100, s=30, eta=0.0003, T=2000; synthetic m=150, s=10, eta=0.005,
-T=3000, batch_size=32, alpha=beta=1, samples_per_client=250.
+never default to wall-clock seeds).  The ``ExperimentConfig`` fields are
+the schema: their order is the canonical key order and their types say
+how each value parses.  Every other key defaults to the experiment's
+reference setup in ``_DEFAULTS``; ``reference_config`` builds that setup,
+and the figure grids run it.
 
 Link specs:
     static:P0,P1,...   per-client probabilities (must match m)
@@ -21,28 +22,31 @@ Link specs:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
+from typing import get_type_hints
 
-from .algorithms import LOCAL_COMPUTE_MODES, VARIANTS
+from .algorithms import AlgorithmConfig
 from .errors import ConfigError
 from .link_model import StaticLinkProcess, ZipfCountLinkProcess
+from .numerics import format_real
+from .streams import MAX_SEED
 
-EXPERIMENTS = ("counterexample", "synthetic")
-
+# The reference setup of each experiment: every key but the four required
+# ones and ``scale``/``out`` (whose defaults are the dataclass's).
 _DEFAULTS = {
-    "counterexample": dict(m=100, d=100, s=30, eta=0.0003, T=2000, batch_size=32,
-                           alpha=1.0, beta=1.0, samples_per_client=250),
-    "synthetic": dict(m=150, d=0, s=10, eta=0.005, T=3000, batch_size=32,
-                      alpha=1.0, beta=1.0, samples_per_client=250),
+    "counterexample": dict(local_compute="all", m=100, d=100, s=30, eta=0.0003, T=2000,
+                           batch_size=32, alpha=1.0, beta=1.0, samples_per_client=250),
+    "synthetic": dict(local_compute="all", m=150, d=0, s=10, eta=0.005, T=3000,
+                      batch_size=32, alpha=1.0, beta=1.0, samples_per_client=250),
 }
 
-_KEY_ORDER = ("experiment", "algorithm", "local_compute", "m", "d", "s", "eta", "T",
-              "batch_size", "alpha", "beta", "samples_per_client", "link", "seed",
-              "scale", "out")
+EXPERIMENTS = tuple(_DEFAULTS)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One run.  The field order is the canonical key order of config text."""
+
     experiment: str
     algorithm: str
     local_compute: str
@@ -69,89 +73,64 @@ class ExperimentConfig:
         d = max(1, round(self.d * self.scale)) if self.experiment == "counterexample" else self.d
         return replace(self, m=m, T=T, d=d, scale=1.0)
 
+    def algorithm_config(self) -> AlgorithmConfig:
+        """The round engine's view of this run; checks algorithm, local_compute, s, eta."""
+        return AlgorithmConfig(variant=self.algorithm, s=self.s, eta=self.eta,
+                               local_compute=self.local_compute)
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
+
+# Key -> int, float or str, the type its value is parsed to.
+_KEY_TYPES = get_type_hints(ExperimentConfig)
+_EXPECTS = {int: "an integer", float: "a number"}
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
-    lines = [f"{key} = {_fmt(getattr(cfg, key))}" for key in _KEY_ORDER]
-    return "\n".join(lines) + "\n"
-
-
-def _parse_int(key: str, raw: str, line: int) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"line {line}: key '{key}' expects an integer, got {raw!r}") from None
-
-
-def _parse_float(key: str, raw: str, line: int) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"line {line}: key '{key}' expects a number, got {raw!r}") from None
+    return "".join(f"{key} = {format_real(v) if isinstance(v, float) else v}\n"
+                   for key, v in asdict(cfg).items())
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    seen: dict = {}
-    lines_of: dict = {}
+    seen: dict = {}  # key -> (line number, raw value)
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.split("#", 1)[0].strip()
+        line = raw_line.partition("#")[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw_line!r}")
         key, _, raw = line.partition("=")
         key = key.strip()
-        raw = raw.strip()
-        if key not in _KEY_ORDER:
+        if key not in _KEY_TYPES:
             raise ConfigError(f"line {lineno}: unknown key '{key}'")
         if key in seen:
             raise ConfigError(f"line {lineno}: duplicate key '{key}'")
-        seen[key] = raw
-        lines_of[key] = lineno
+        seen[key] = lineno, raw.strip()
 
     for required in ("experiment", "algorithm", "link", "seed"):
         if required not in seen:
             raise ConfigError(f"missing required key '{required}'")
-
-    experiment = seen["experiment"]
+    lineno, experiment = seen["experiment"]
     if experiment not in EXPERIMENTS:
-        raise ConfigError(
-            f"line {lines_of['experiment']}: experiment must be one of {EXPERIMENTS}")
-    defaults = _DEFAULTS[experiment]
+        raise ConfigError(f"line {lineno}: experiment must be one of {EXPERIMENTS}")
 
-    def get_int(key: str, default: int) -> int:
-        if key not in seen:
-            return default
-        return _parse_int(key, seen[key], lines_of[key])
+    keys = {}
+    for key, (lineno, raw) in seen.items():
+        kind = _KEY_TYPES[key]
+        try:
+            keys[key] = kind(raw)
+        except ValueError:
+            raise ConfigError(f"line {lineno}: key '{key}' expects {_EXPECTS[kind]}, "
+                              f"got {raw!r}") from None
+    return reference_config(**keys)
 
-    def get_float(key: str, default: float) -> float:
-        if key not in seen:
-            return default
-        return _parse_float(key, seen[key], lines_of[key])
 
-    cfg = ExperimentConfig(
-        experiment=experiment,
-        algorithm=seen["algorithm"],
-        local_compute=seen.get("local_compute", "all"),
-        m=get_int("m", defaults["m"]),
-        d=get_int("d", defaults["d"]),
-        s=get_int("s", defaults["s"]),
-        eta=get_float("eta", defaults["eta"]),
-        T=get_int("T", defaults["T"]),
-        batch_size=get_int("batch_size", defaults["batch_size"]),
-        alpha=get_float("alpha", defaults["alpha"]),
-        beta=get_float("beta", defaults["beta"]),
-        samples_per_client=get_int("samples_per_client", defaults["samples_per_client"]),
-        link=seen["link"],
-        seed=_parse_int("seed", seen["seed"], lines_of["seed"]),
-        scale=get_float("scale", 1.0),
-        out=seen.get("out", "."),
-    )
+def reference_config(experiment: str, algorithm: str, link: str, seed: int,
+                     **keys) -> ExperimentConfig:
+    """The experiment's reference setup with ``keys`` overriding its
+    defaults, validated."""
+    if experiment not in EXPERIMENTS:
+        raise ConfigError(f"experiment must be one of {EXPERIMENTS}")
+    cfg = ExperimentConfig(experiment=experiment, algorithm=algorithm, link=link, seed=seed,
+                           **{**_DEFAULTS[experiment], **keys})
     validate_config(cfg)
     return cfg
 
@@ -159,21 +138,16 @@ def parse_config(text: str) -> ExperimentConfig:
 def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.experiment not in EXPERIMENTS:
         raise ConfigError(f"experiment must be one of {EXPERIMENTS}")
-    if cfg.algorithm not in VARIANTS:
-        raise ConfigError(f"algorithm must be one of {VARIANTS}")
-    if cfg.local_compute not in LOCAL_COMPUTE_MODES:
-        raise ConfigError(f"local_compute must be one of {LOCAL_COMPUTE_MODES}")
-    for key in ("m", "s", "T", "batch_size", "samples_per_client"):
+    cfg.algorithm_config()
+    for key in ("m", "T", "batch_size", "samples_per_client"):
         if getattr(cfg, key) < 1:
             raise ConfigError(f"key '{key}' must be >= 1")
     if cfg.experiment == "counterexample" and cfg.d < 1:
         raise ConfigError("key 'd' must be >= 1")
-    if not (cfg.eta > 0):
-        raise ConfigError("key 'eta' must be > 0")
     if not (0 < cfg.scale <= 1):
         raise ConfigError("key 'scale' must lie in (0, 1]")
-    if cfg.seed < 0:
-        raise ConfigError("key 'seed' must be >= 0")
+    if not (0 <= cfg.seed < MAX_SEED):
+        raise ConfigError(f"key 'seed' must be >= 0 and fit in 64 bits, got {cfg.seed}")
     make_link_process(cfg.link, cfg.scaled().m)  # validates the spec string
 
 
@@ -183,7 +157,7 @@ def make_link_process(spec: str, m: int):
     kind = kind.strip()
     if kind == "static":
         try:
-            values = [float(v) for v in rest.split(",") if v.strip() != ""]
+            values = [float(v) for v in rest.split(",")]
         except ValueError:
             raise ConfigError(f"bad static link spec {spec!r}") from None
         if len(values) != m:

@@ -23,13 +23,15 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .algorithms import (AlgorithmConfig, ExperimentResult, MetricsRow,
+from .algorithms import (LOCAL_COMPUTE_MODES, VARIANTS, ExperimentResult, MetricsRow,
                          run_experiment)
-from .config import ExperimentConfig, make_link_process, serialize_config
+from .config import (ExperimentConfig, make_link_process, reference_config,
+                     serialize_config, validate_config)
 from .errors import ConfigError, DivergedRunError
 from .link_model import TraceRound, build_trace, trace_checksum, write_trace_csv
 from .mixing import (entrywise_lower_bound, ergodicity_bound,
                      expected_square_exact, rho)
+from .numerics import format_real
 from .objectives import QuadraticObjective, SoftmaxObjective, generate_synthetic
 from .oracles import fedavg_limit_integral
 from .streams import GENERATOR_ID, SeededStream
@@ -39,15 +41,10 @@ METRICS_HEADER = "round,grad_norm,consensus_error,train_loss,test_accuracy,activ
 
 SEED_ENV_VAR = "FEDSIM_SEED"
 
-# Reference full-scale setups for the reproduction grids.
+# The reproduction grids run the config defaults (``reference_config``)
+# on these links: halves:p0,p1 for each (p0, p1) pair, and the Zipf schedule.
 FIG2_GRID = ((0.9, 0.9), (0.9, 0.5), (0.9, 0.1), (0.5, 0.1))
-FIG2_BASE = dict(m=100, d=100, s=30, eta=0.0003, T=2000)
-FIG3_BASE = dict(m=150, s=10, eta=0.005, T=3000, batch_size=32,
-                 zipf_a=3.0, zipf_n=20000, zipf_floor=0.1)
-
-
-def format_real(x: float) -> str:
-    return f"{x:.17g}"
+FIG3_LINK = "zipf:3,20000,0.1"
 
 
 def write_metrics_csv(path, rows: Sequence[MetricsRow]) -> None:
@@ -134,8 +131,7 @@ def run_simulation(cfg: ExperimentConfig, *, seed_source: str = "config",
     root = SeededStream(eff.seed)
     objective = build_objective(eff, root)
     process = make_link_process(eff.link, eff.m)
-    algo = AlgorithmConfig(variant=eff.algorithm, s=eff.s, eta=eff.eta,
-                           local_compute=eff.local_compute)
+    algo = eff.algorithm_config()
     started = time.monotonic()
     try:
         result = run_experiment(algo, objective, process, eff.T, root.child("sim"),
@@ -171,18 +167,14 @@ def resolve_seed_override(cfg: ExperimentConfig) -> tuple:
         seed = int(raw)
     except ValueError:
         raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
-    return replace(cfg, seed=seed), "env"
+    cfg = replace(cfg, seed=seed)
+    validate_config(cfg)
+    return cfg, "env"
 
 
 # ---------------------------------------------------------------------------
 # Reproduction grids
 # ---------------------------------------------------------------------------
-
-def _scaled_counts(scale: float, base_m: int, base_t: int) -> tuple:
-    if scale not in (1.0, 0.5, 0.2, 0.1):
-        raise ConfigError("scale must be one of 1, 0.5, 0.2, 0.1")
-    return max(1, round(base_m * scale)), max(1, round(base_t * scale))
-
 
 def reproduce_fig2(scale: float, out_dir, seed: int = 1234) -> dict:
     """Bias comparison grid on the quadratic counterexample.
@@ -192,35 +184,30 @@ def reproduce_fig2(scale: float, out_dir, seed: int = 1234) -> dict:
     per-run metrics and a comparison table against the closed-form
     stationary point of the broadcast-first algorithm.
     """
-    m, T = _scaled_counts(scale, FIG2_BASE["m"], FIG2_BASE["T"])
-    d = m  # target dimension scales with the fleet
+    links = [f"halves:{p0:g},{p1:g}" for p0, p1 in FIG2_GRID]
+    base = reference_config("counterexample", VARIANTS[0], links[0], seed,
+                            scale=scale, out=str(out_dir)).scaled()
     os.makedirs(out_dir, exist_ok=True)
     root = SeededStream(seed)
-    targets = build_quadratic_targets(m, d, root.child("targets"))
-    objective = QuadraticObjective(targets)
+    objective = build_objective(base, root)
     x_star = objective.global_optimum()
 
     summary = []
-    for p0, p1 in FIG2_GRID:
+    for (p0, p1), link in zip(FIG2_GRID, links):
         tag = f"p{p0:g}-{p1:g}".replace(".", "")
-        link = f"halves:{p0:g},{p1:g}"
-        process = make_link_process(link, m)
-        trace = build_trace(process, T, root.child("trace", tag))
+        process = make_link_process(link, base.m)
+        trace = build_trace(process, base.T, root.child("trace", tag))
         trace_path = os.path.join(out_dir, f"{tag}_trace.csv")
         write_trace_csv(trace_path, trace)
         sha = trace_checksum(trace_path)
 
         weights = fedavg_limit_integral(process.p)
-        predicted = weights.limit_point(targets)
+        predicted = weights.limit_point(objective.targets)
         oracle_gap = float(np.linalg.norm(predicted - x_star))
 
-        for variant in ("fedavg", "fedpbc"):
-            for mode in ("all", "active_only"):
-                cfg = ExperimentConfig(
-                    experiment="counterexample", algorithm=variant, local_compute=mode,
-                    m=m, d=d, s=FIG2_BASE["s"], eta=FIG2_BASE["eta"], T=T,
-                    batch_size=32, alpha=1.0, beta=1.0, samples_per_client=250,
-                    link=link, seed=seed, scale=1.0, out=str(out_dir))
+        for variant in VARIANTS:
+            for mode in LOCAL_COMPUTE_MODES:
+                cfg = replace(base, algorithm=variant, local_compute=mode, link=link)
                 out = run_simulation(cfg, trace=trace, trace_sha=sha)
                 name = f"{tag}_{variant}_{mode}"
                 write_run_outputs(out_dir, out, name=name)
@@ -257,24 +244,18 @@ def reproduce_fig3(scale: float, out_dir, seed: int = 1234) -> dict:
     trace, runs both algorithms on it, and writes a summary of the final
     train loss and test accuracy of each.
     """
-    m, T = _scaled_counts(scale, FIG3_BASE["m"], FIG3_BASE["T"])
+    base = reference_config("synthetic", VARIANTS[0], FIG3_LINK, seed,
+                            scale=scale, out=str(out_dir)).scaled()
     os.makedirs(out_dir, exist_ok=True)
-    link = f"zipf:{FIG3_BASE['zipf_a']:g},{FIG3_BASE['zipf_n']},{FIG3_BASE['zipf_floor']:g}"
     root = SeededStream(seed)
-    process = make_link_process(link, m)
-    trace = build_trace(process, T, root.child("trace"))
+    trace = build_trace(make_link_process(base.link, base.m), base.T, root.child("trace"))
     trace_path = os.path.join(out_dir, "trace.csv")
     write_trace_csv(trace_path, trace)
     sha = trace_checksum(trace_path)
 
     finals = {}
-    for variant in ("fedavg", "fedpbc"):
-        cfg = ExperimentConfig(
-            experiment="synthetic", algorithm=variant, local_compute="all",
-            m=m, d=0, s=FIG3_BASE["s"], eta=FIG3_BASE["eta"], T=T,
-            batch_size=FIG3_BASE["batch_size"], alpha=1.0, beta=1.0,
-            samples_per_client=250, link=link, seed=seed, scale=1.0, out=str(out_dir))
-        out = run_simulation(cfg, trace=trace, trace_sha=sha)
+    for variant in VARIANTS:
+        out = run_simulation(replace(base, algorithm=variant), trace=trace, trace_sha=sha)
         write_run_outputs(out_dir, out, name=variant)
         last = out.rows[-1]
         finals[variant] = {"train_loss": last.train_loss,
@@ -283,7 +264,7 @@ def reproduce_fig3(scale: float, out_dir, seed: int = 1234) -> dict:
     # No verdict on which is lower: both runs start at zero and stop at a
     # fixed horizon, which compares speed, not the fixed points the paper's
     # claim is about (acceptance criterion C11 compares those).
-    summary = {"m": m, "T": T, "link": link, "seed": seed,
+    summary = {"m": base.m, "T": base.T, "link": base.link, "seed": seed,
                "fedavg": finals["fedavg"], "fedpbc": finals["fedpbc"]}
     with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2)

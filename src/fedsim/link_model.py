@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import zeta
 
 from .errors import ConfigError
-from .numerics import validate_probabilities
+from .numerics import format_real, validate_probabilities
 from .streams import SeededStream
 
 # The Zipf inverse CDF is truncated once the remaining tail mass drops
@@ -191,7 +191,7 @@ def write_trace_csv(path, trace: Sequence[TraceRound]) -> None:
         for row in trace:
             mask = row.active.mask(row.p.size)
             for i in range(row.p.size):
-                writer.writerow([row.round, i, f"{row.p[i]:.17g}", int(mask[i])])
+                writer.writerow([row.round, i, format_real(row.p[i]), int(mask[i])])
 
 
 def read_trace_csv(path) -> List[TraceRound]:

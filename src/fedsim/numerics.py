@@ -9,7 +9,8 @@ integral of a product of linear factors: with q = 1 - p,
 and E[1/(2+S)] picks up one extra factor of s.  The integrands are
 polynomials of degree at most m, so Gauss–Legendre quadrature with
 ``m//2 + 2`` nodes integrates them exactly up to rounding (Golub & Welsch,
-Math. Comp. 23, 1969).  Three operations live here:
+Math. Comp. 23, 1969).  Three operations live here (plus ``format_real``,
+the one real-number format of every output file):
 
 * ``bernoulli_quadrature`` — the kernel.  For a probability vector it
   returns the nodes and weights on [0, 1], the full product
@@ -41,6 +42,12 @@ STOCHASTIC_TOL = 1e-12
 # Newton steps that refine numpy's Gauss–Legendre nodes in extended
 # precision; from numpy's accuracy, two reach extended-precision rounding.
 _NEWTON_STEPS = 2
+
+
+def format_real(x: float) -> str:
+    """A real as every output file writes it: 17 significant digits, which
+    round-trip any float64."""
+    return f"{x:.17g}"
 
 
 def validate_probabilities(p, *, allow_zero: bool = False) -> np.ndarray:

@@ -22,7 +22,8 @@ import numpy as np
 # Recorded in run manifests so the generator backing a run is auditable.
 GENERATOR_ID = "numpy.random.Philox(4x64) via SeedSequence(root_seed, spawn_key=sha256(path))"
 
-_MAX_SEED = 2**64
+# Root seeds are the integers in [0, MAX_SEED).
+MAX_SEED = 2**64
 
 
 def _label_key(label) -> int:
@@ -51,7 +52,7 @@ class SeededStream:
     def __init__(self, root_seed: int, path: tuple = ()):
         if not isinstance(root_seed, (int, np.integer)):
             raise TypeError("root_seed must be an integer")
-        if not (0 <= root_seed < _MAX_SEED):
+        if not (0 <= root_seed < MAX_SEED):
             raise ValueError("root_seed must fit in 64 bits")
         self.root_seed = int(root_seed)
         self.path = tuple(path)

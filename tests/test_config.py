@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fedsim.config import (ExperimentConfig, make_link_process, parse_config,
-                           serialize_config)
+                           reference_config, serialize_config)
 from fedsim.errors import ConfigError
 from fedsim.link_model import StaticLinkProcess, ZipfCountLinkProcess
 
@@ -54,6 +54,32 @@ def test_out_of_range_values_name_key():
         parse_config(MINIMAL_COUNTEREXAMPLE + "eta = -1\n")
     with pytest.raises(ConfigError, match="integer"):
         parse_config(MINIMAL_COUNTEREXAMPLE + "m = abc\n")
+
+
+@pytest.mark.parametrize("key", ["m", "d", "s", "eta", "T", "batch_size", "alpha", "beta",
+                                 "samples_per_client", "seed", "scale"])
+def test_malformed_number_names_key_and_line(key):
+    text = MINIMAL_COUNTEREXAMPLE + f"{key} = abc\n"
+    if key == "seed":
+        text = text.replace("seed = 7\n", "")
+    line = text.splitlines().index(f"{key} = abc") + 1
+    with pytest.raises(ConfigError, match=rf"^line {line}: key '{key}' expects"):
+        parse_config(text)
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_seed_outside_64_bits_rejected(seed):
+    with pytest.raises(ConfigError, match="'seed'"):
+        parse_config(MINIMAL_COUNTEREXAMPLE.replace("seed = 7", f"seed = {seed}"))
+
+
+def test_parse_config_is_the_reference_setup_overridden():
+    assert parse_config(MINIMAL_SYNTHETIC) == reference_config(
+        "synthetic", "fedpbc", "zipf:3,20000,0.1", 11)
+    assert parse_config(MINIMAL_COUNTEREXAMPLE + "m = 10\nscale = 0.5\n") == reference_config(
+        "counterexample", "fedavg", "halves:0.9,0.1", 7, m=10, scale=0.5)
+    with pytest.raises(ConfigError, match="experiment"):
+        reference_config("bogus", "fedavg", "uniform:0.5", 1)
 
 
 @pytest.mark.parametrize("link", ["static:nan,0.5,0.5,0.5", "halves:0.5,nan", "uniform:nan"])
@@ -124,3 +150,11 @@ def test_link_process_factory():
         make_link_process("bogus:1", 3)
     with pytest.raises(ConfigError):
         make_link_process("zipf:0.5,100,0.1", 3)
+
+
+@pytest.mark.parametrize("spec", ["static:0.5,,0.5", "static:0.5,0.5,", "static:,0.5,0.5",
+                                  "static:0.5, ,0.5", "static:"])
+def test_link_process_factory_rejects_empty_static_entry(spec):
+    # Dropping the empty entry would run "static:0.5,,0.5" as two clients.
+    with pytest.raises(ConfigError, match="static"):
+        make_link_process(spec, 2)

@@ -2,13 +2,15 @@ import filecmp
 import json
 import math
 import os
+from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
 
 from fedsim.cli import main
-from fedsim.config import parse_config
-from fedsim.harness import (config_hash, read_metrics_csv, reproduce_fig2,
+from fedsim.config import parse_config, reference_config
+from fedsim.harness import (FIG3_LINK, config_hash, read_metrics_csv, reproduce_fig2,
                             reproduce_fig3, run_simulation, write_run_outputs)
 from fedsim.objectives import QuadraticObjective, load_dataset_csv
 
@@ -211,6 +213,29 @@ def test_simulate_rejects_nan_link_probability(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+def test_simulate_rejects_seed_outside_64_bits(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, FAST_COUNTEREXAMPLE.format(alg="fedavg", seed=2**64))
+    assert_cli_error(capsys, ["simulate", "--config", str(cfg_path),
+                              "--out", str(tmp_path / "run")])
+    assert not (tmp_path / "run").exists()
+
+
+def test_simulate_rejects_negative_seed_override(tmp_path, capsys, monkeypatch):
+    cfg_path = write_config(tmp_path, FAST_COUNTEREXAMPLE.format(alg="fedavg", seed=3))
+    monkeypatch.setenv("FEDSIM_SEED", "-5")
+    assert_cli_error(capsys, ["simulate", "--config", str(cfg_path),
+                              "--out", str(tmp_path / "run")])
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("key, value", [("alpha", "nan"), ("beta", "nan"), ("alpha", "inf")])
+def test_simulate_rejects_non_finite_variance(tmp_path, capsys, key, value):
+    cfg_path = write_config(tmp_path, FAST_SYNTHETIC + f"{key} = {value}\n")
+    assert_cli_error(capsys, ["simulate", "--config", str(cfg_path),
+                              "--out", str(tmp_path / "run")])
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("command", ["mixing", "oracle"])
 def test_cli_rejects_nan_probability(capsys, command):
     assert_cli_error(capsys, [command, "--p", "0.5,nan"])
@@ -269,6 +294,15 @@ def test_reproduce_fig2_smoke(tmp_path):
                  for alg in ("fedavg", "fedpbc")]
     assert manifests[0]["trace_sha256"] == manifests[1]["trace_sha256"]
     assert manifests[0]["trace_sha256"]
+    # Each run is the config-default setup, scaled, with its grid cell's
+    # algorithm, local computation and link.
+    base = reference_config("counterexample", "fedavg", "uniform:0.5", 77, scale=0.1,
+                            out=str(tmp_path / "fig2")).scaled()
+    for alg, mode in product(("fedavg", "fedpbc"), ("all", "active_only")):
+        manifest = manifest_without_walltime(
+            tmp_path / "fig2" / f"p05-01_{alg}_{mode}_manifest.json")
+        assert parse_config(manifest["config_text"]) == replace(
+            base, algorithm=alg, local_compute=mode, link="halves:0.5,0.1")
 
 
 def test_reproduce_fig3_smoke(tmp_path):
@@ -282,3 +316,9 @@ def test_reproduce_fig3_smoke(tmp_path):
     for key in ("fedpbc_train_loss_leq_fedavg", "fedpbc_test_accuracy_geq_fedavg"):
         assert key not in summary and key not in on_disk
     assert set(on_disk["fedpbc"]) == {"train_loss", "test_accuracy"}
+    base = reference_config("synthetic", "fedavg", FIG3_LINK, 5, scale=0.1,
+                            out=str(tmp_path / "fig3")).scaled()
+    assert (base.m, base.T) == (on_disk["m"], on_disk["T"]) == (15, 300)
+    for alg in ("fedavg", "fedpbc"):
+        manifest = manifest_without_walltime(tmp_path / "fig3" / f"{alg}_manifest.json")
+        assert parse_config(manifest["config_text"]) == replace(base, algorithm=alg)

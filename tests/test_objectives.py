@@ -147,6 +147,14 @@ def test_generate_synthetic_validation():
         generate_synthetic(1.0, 1.0, 3, 1, SeededStream(1).child("d"))
 
 
+@pytest.mark.parametrize("alpha, beta", [(math.nan, 1.0), (1.0, math.nan),
+                                         (math.inf, 1.0), (1.0, math.inf), (-1.0, 1.0)])
+def test_generate_synthetic_rejects_non_finite_variance(alpha, beta):
+    # NaN fails every comparison: alpha = nan once labelled every sample 0.
+    with pytest.raises(ConfigError, match="finite"):
+        generate_synthetic(alpha, beta, 3, 10, SeededStream(1).child("d"))
+
+
 def test_dataset_file_roundtrip_and_determinism(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
@@ -213,6 +221,13 @@ def test_quad_loss_and_gradient_is_the_separate_terms_bit_for_bit():
     assert loss == float(0.5 * (diffs * diffs).sum() / 9) == obj.train_loss(x)
     assert np.array_equal(grad, x - targets.mean(axis=1))
     assert np.array_equal(grad, obj.global_gradient(x))
+
+
+def test_quad_global_optimum_is_cached_read_only():
+    obj = QuadraticObjective(np.random.default_rng(9).normal(size=(4, 6)))
+    assert obj.global_optimum() is obj.global_optimum()
+    with pytest.raises(ValueError):
+        obj.global_optimum()[0] = 1.0
 
 
 def per_client_means(dataset, x):
