@@ -10,8 +10,8 @@ from .errors import (CapacityError, ConfigError, ContractViolationError,
                      DivergedRunError, FedsimError, StatisticalError)
 from .link_model import (ActiveSet, StaticLinkProcess, ZipfCountLinkProcess,
                          build_trace, probabilities_at, sample_active_set)
-from .mixing import (MixingMatrix, build_mixing, contraction_profile, ergodicity_bound,
-                     expected_square_exact, expected_square_mc, rho)
+from .mixing import (build_mixing, contraction_profile, ergodicity_bound, expected_square_exact,
+                     expected_square_mc, rho)
 from .numerics import integrate_weighted_product, second_eigenvalue_sym
 from .objectives import (FederatedDataset, QuadraticObjective, SoftmaxObjective,
                          generate_synthetic, softmax_loss_grad)

@@ -165,7 +165,7 @@ def matrix_form_check(state_before: FleetState, active: ActiveSet,
         g = objective.gradient_fleet(X, batch)
         G += g
         X = X - cfg.eta * g
-    W = build_mixing(active, state_before.num_clients).entries
+    W = build_mixing(active, state_before.num_clients)
     predicted = (state_before.X - cfg.eta * G) @ W
     return float(np.max(np.abs(predicted - state_after.X)))
 

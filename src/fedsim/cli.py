@@ -2,6 +2,8 @@
 
 Subcommands: simulate, reproduce-fig2, reproduce-fig3, mixing, oracle,
 gendata.  All file output is UTF-8 with reals at 17 significant digits.
+Invalid input and file-system errors end in one ``error:`` line and exit
+code 1.
 The FEDSIM_SEED environment variable overrides the config seed for
 ``simulate`` (recorded in the manifest).
 """
@@ -14,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .config import parse_config
+from .config import check_seed, parse_config
 from .errors import FedsimError
 from .harness import (mixing_report, oracle_report, reproduce_fig2, reproduce_fig3,
                       resolve_seed_override, run_simulation, write_run_outputs)
@@ -32,14 +34,11 @@ def _parse_floats(text: str, where: str) -> np.ndarray:
 def _read_rows(path: str, what: str) -> list:
     """The non-blank lines of a CSV file as float vectors of one length."""
     rows = []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if line:
-                    rows.append(_parse_floats(line, f"{path} line {lineno}"))
-    except OSError as err:
-        raise FedsimError(f"cannot read {what} file {path}: {err.strerror}") from None
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if line:
+                rows.append(_parse_floats(line, f"{path} line {lineno}"))
     if not rows:
         raise FedsimError(f"no {what} rows found in {path}")
     lengths = sorted({row.size for row in rows})
@@ -139,11 +138,12 @@ def main(argv=None) -> int:
             _emit_json_lines(records, args.out)
             return 0
         if args.command == "gendata":
+            check_seed(args.seed)
             dataset = generate_synthetic(args.alpha, args.beta, args.m, args.samples,
                                          SeededStream(args.seed))
             save_dataset_csv(args.out, dataset)
             return 0
-    except FedsimError as err:
+    except (FedsimError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     raise AssertionError("unreachable")  # pragma: no cover

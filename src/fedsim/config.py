@@ -22,7 +22,7 @@ Link specs:
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import get_type_hints
 
 from .algorithms import AlgorithmConfig
@@ -32,7 +32,7 @@ from .numerics import format_real
 from .streams import MAX_SEED
 
 # The reference setup of each experiment: every key but the four required
-# ones and ``scale``/``out`` (whose defaults are the dataclass's).
+# ones and ``out`` (whose default is the dataclass's).
 _DEFAULTS = {
     "counterexample": dict(local_compute="all", m=100, d=100, s=30, eta=0.0003, T=2000,
                            batch_size=32, alpha=1.0, beta=1.0, samples_per_client=250),
@@ -61,17 +61,7 @@ class ExperimentConfig:
     samples_per_client: int
     link: str
     seed: int
-    scale: float = 1.0
     out: str = "."
-
-    def scaled(self) -> "ExperimentConfig":
-        """Apply the scale factor to m, T (and d for the counterexample)."""
-        if self.scale == 1.0:
-            return self
-        m = max(1, round(self.m * self.scale))
-        T = max(1, round(self.T * self.scale))
-        d = max(1, round(self.d * self.scale)) if self.experiment == "counterexample" else self.d
-        return replace(self, m=m, T=T, d=d, scale=1.0)
 
     def algorithm_config(self) -> AlgorithmConfig:
         """The round engine's view of this run; checks algorithm, local_compute, s, eta."""
@@ -123,14 +113,20 @@ def parse_config(text: str) -> ExperimentConfig:
     return reference_config(**keys)
 
 
-def reference_config(experiment: str, algorithm: str, link: str, seed: int,
-                     **keys) -> ExperimentConfig:
-    """The experiment's reference setup with ``keys`` overriding its
-    defaults, validated."""
+def reference_config(experiment: str, algorithm: str, link: str, seed: int, *,
+                     scale: float = 1.0, **keys) -> ExperimentConfig:
+    """The experiment's reference setup, its m and T (and d on the
+    counterexample) multiplied by ``scale``, with ``keys`` overriding it;
+    validated."""
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"experiment must be one of {EXPERIMENTS}")
+    if not (0 < scale <= 1):
+        raise ConfigError(f"scale must lie in (0, 1], got {scale}")
+    ref = dict(_DEFAULTS[experiment])
+    for key in ("m", "T", "d") if experiment == "counterexample" else ("m", "T"):
+        ref[key] = max(1, round(ref[key] * scale))
     cfg = ExperimentConfig(experiment=experiment, algorithm=algorithm, link=link, seed=seed,
-                           **{**_DEFAULTS[experiment], **keys})
+                           **{**ref, **keys})
     validate_config(cfg)
     return cfg
 
@@ -144,11 +140,14 @@ def validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigError(f"key '{key}' must be >= 1")
     if cfg.experiment == "counterexample" and cfg.d < 1:
         raise ConfigError("key 'd' must be >= 1")
-    if not (0 < cfg.scale <= 1):
-        raise ConfigError("key 'scale' must lie in (0, 1]")
-    if not (0 <= cfg.seed < MAX_SEED):
-        raise ConfigError(f"key 'seed' must be >= 0 and fit in 64 bits, got {cfg.seed}")
-    make_link_process(cfg.link, cfg.scaled().m)  # validates the spec string
+    check_seed(cfg.seed)
+    make_link_process(cfg.link, cfg.m)  # validates the spec string
+
+
+def check_seed(seed: int) -> None:
+    """The one root-seed rule for configs and ``gendata``."""
+    if not (0 <= seed < MAX_SEED):
+        raise ConfigError(f"key 'seed' must be >= 0 and fit in 64 bits, got {seed}")
 
 
 def make_link_process(spec: str, m: int):

@@ -28,7 +28,7 @@ from .algorithms import (LOCAL_COMPUTE_MODES, VARIANTS, ExperimentResult, Metric
 from .config import (ExperimentConfig, make_link_process, reference_config,
                      serialize_config, validate_config)
 from .errors import ConfigError, DivergedRunError
-from .link_model import TraceRound, build_trace, trace_checksum, write_trace_csv
+from .link_model import TraceRound, build_trace, write_trace_csv
 from .mixing import (entrywise_lower_bound, ergodicity_bound,
                      expected_square_exact, rho)
 from .numerics import format_real
@@ -87,7 +87,6 @@ def build_quadratic_targets(m: int, d: int, stream: SeededStream) -> np.ndarray:
 
 
 def build_objective(cfg: ExperimentConfig, root: SeededStream):
-    cfg = cfg.scaled()
     if cfg.experiment == "counterexample":
         targets = build_quadratic_targets(cfg.m, cfg.d, root.child("targets"))
         return QuadraticObjective(targets)
@@ -127,15 +126,14 @@ def run_simulation(cfg: ExperimentConfig, *, seed_source: str = "config",
                    trace: Optional[Sequence[TraceRound]] = None,
                    trace_sha: Optional[str] = None) -> RunOutput:
     """Execute one configured run; on divergence, keep the partial rows."""
-    eff = cfg.scaled()
-    root = SeededStream(eff.seed)
-    objective = build_objective(eff, root)
-    process = make_link_process(eff.link, eff.m)
-    algo = eff.algorithm_config()
+    root = SeededStream(cfg.seed)
+    objective = build_objective(cfg, root)
+    process = make_link_process(cfg.link, cfg.m)
+    algo = cfg.algorithm_config()
     started = time.monotonic()
     try:
-        result = run_experiment(algo, objective, process, eff.T, root.child("sim"),
-                                trace=trace, batch_size=eff.batch_size)
+        result = run_experiment(algo, objective, process, cfg.T, root.child("sim"),
+                                trace=trace, batch_size=cfg.batch_size)
         rows, completed, failure = result.rows, True, None
         code = 0
     except DivergedRunError as err:
@@ -186,7 +184,7 @@ def reproduce_fig2(scale: float, out_dir, seed: int = 1234) -> dict:
     """
     links = [f"halves:{p0:g},{p1:g}" for p0, p1 in FIG2_GRID]
     base = reference_config("counterexample", VARIANTS[0], links[0], seed,
-                            scale=scale, out=str(out_dir)).scaled()
+                            scale=scale, out=str(out_dir))
     os.makedirs(out_dir, exist_ok=True)
     root = SeededStream(seed)
     objective = build_objective(base, root)
@@ -198,8 +196,7 @@ def reproduce_fig2(scale: float, out_dir, seed: int = 1234) -> dict:
         process = make_link_process(link, base.m)
         trace = build_trace(process, base.T, root.child("trace", tag))
         trace_path = os.path.join(out_dir, f"{tag}_trace.csv")
-        write_trace_csv(trace_path, trace)
-        sha = trace_checksum(trace_path)
+        sha = write_trace_csv(trace_path, trace)
 
         weights = fedavg_limit_integral(process.p)
         predicted = weights.limit_point(objective.targets)
@@ -245,13 +242,12 @@ def reproduce_fig3(scale: float, out_dir, seed: int = 1234) -> dict:
     train loss and test accuracy of each.
     """
     base = reference_config("synthetic", VARIANTS[0], FIG3_LINK, seed,
-                            scale=scale, out=str(out_dir)).scaled()
+                            scale=scale, out=str(out_dir))
     os.makedirs(out_dir, exist_ok=True)
     root = SeededStream(seed)
     trace = build_trace(make_link_process(base.link, base.m), base.T, root.child("trace"))
     trace_path = os.path.join(out_dir, "trace.csv")
-    write_trace_csv(trace_path, trace)
-    sha = trace_checksum(trace_path)
+    sha = write_trace_csv(trace_path, trace)
 
     finals = {}
     for variant in VARIANTS:

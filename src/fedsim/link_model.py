@@ -184,14 +184,18 @@ def build_trace(process, T: int, stream: SeededStream) -> List[TraceRound]:
     return rounds
 
 
-def write_trace_csv(path, trace: Sequence[TraceRound]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["round", "client", "p", "active"])
-        for row in trace:
-            mask = row.active.mask(row.p.size)
-            for i in range(row.p.size):
-                writer.writerow([row.round, i, format_real(row.p[i]), int(mask[i])])
+def write_trace_csv(path, trace: Sequence[TraceRound]) -> str:
+    """Write the trace; returns the SHA-256 hex digest of the bytes written,
+    which run manifests record."""
+    lines = ["round,client,p,active\n"]
+    for row in trace:
+        mask = row.active.mask(row.p.size)
+        lines.extend(f"{row.round},{i},{format_real(p)},{int(mask[i])}\n"
+                     for i, p in enumerate(row.p))
+    data = "".join(lines).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(data)
+    return hashlib.sha256(data).hexdigest()
 
 
 def read_trace_csv(path) -> List[TraceRound]:
@@ -242,12 +246,3 @@ def read_trace_csv(path) -> List[TraceRound]:
         members = tuple(i for i in range(m) if clients[i][1])
         trace.append(TraceRound(round=t, p=p, active=ActiveSet(round=t, members=members)))
     return trace
-
-
-def trace_checksum(path) -> str:
-    """SHA-256 of the trace file bytes; recorded in run manifests."""
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            h.update(chunk)
-    return h.hexdigest()

@@ -45,22 +45,7 @@ from .streams import SeededStream
 _MC_CHUNK = 65_536
 
 
-@dataclass(frozen=True)
-class MixingMatrix:
-    m: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        e = self.entries
-        if e.shape != (self.m, self.m):
-            raise ContractViolationError("mixing matrix shape mismatch")
-        if np.max(np.abs(e - e.T), initial=0.0) > 1e-12:
-            raise ContractViolationError("mixing matrix must be symmetric")
-        if np.max(np.abs(e.sum(axis=1) - 1.0)) > 1e-12:
-            raise ContractViolationError("mixing matrix must be doubly stochastic")
-
-
-def build_mixing(active: ActiveSet, m: int) -> MixingMatrix:
+def build_mixing(active: ActiveSet, m: int) -> np.ndarray:
     """The gossip matrix realized by one active set (identity if |A| <= 1)."""
     members = list(active.members)
     if members and members[-1] >= m:
@@ -70,7 +55,7 @@ def build_mixing(active: ActiveSet, m: int) -> MixingMatrix:
     if len(members) >= 1:
         idx = np.array(members)
         W[np.ix_(idx, idx)] = 1.0 / len(members)
-    return MixingMatrix(m=m, entries=W)
+    return W
 
 
 def expected_square_exact(p) -> np.ndarray:

@@ -33,6 +33,8 @@ PARAM_DIM = N_CLASSES * N_FEATURES + N_CLASSES
 # Per-coordinate feature variances decay polynomially in the coordinate.
 _FEATURE_VAR = (np.arange(1, N_FEATURES + 1, dtype=float)) ** -1.2
 _FEATURE_STD = np.sqrt(_FEATURE_VAR)
+# Spread of a client's true-model entries around its model level u_i.
+_MODEL_STD = 1.0
 
 DATASET_MAGIC = "synthetic-v1"
 
@@ -157,17 +159,15 @@ class FederatedDataset:
 
 
 def generate_synthetic(alpha: float, beta: float, m: int, samples_per_client: int,
-                       stream: SeededStream, *, model_std: float = 1.0,
-                       count_mode: str = "fixed") -> FederatedDataset:
+                       stream: SeededStream, *, count_mode: str = "fixed") -> FederatedDataset:
     """Generate the heterogeneous softmax-regression dataset.
 
     Per client i (all draws from the client's own sub-stream, in a fixed
     order): a scalar model level u_i ~ N(0, alpha); ground-truth weights
-    and bias with entries ~ N(u_i, model_std^2); a scalar feature level
+    and bias with entries ~ N(u_i, 1); a scalar feature level
     B_i ~ N(0, beta); a feature mean vector with entries ~ N(B_i, 1);
     features ~ N(mean, diag(j^-1.2)); labels by argmax of the true model's
-    logits.  ``model_std=0`` is a degenerate test hook that collapses all
-    clients onto one labeling model when alpha is also 0.
+    logits.
 
     ``count_mode="lognormal"`` replaces the fixed per-client count with
     round(lognormal(4, 0.5)), floored at 2.
@@ -189,8 +189,8 @@ def generate_synthetic(alpha: float, beta: float, m: int, samples_per_client: in
         else:
             n_i = samples_per_client
         u_i = gen.normal(0.0, np.sqrt(alpha))
-        w_true = gen.normal(u_i, model_std, size=(N_CLASSES, N_FEATURES))
-        b_true = gen.normal(u_i, model_std, size=N_CLASSES)
+        w_true = gen.normal(u_i, _MODEL_STD, size=(N_CLASSES, N_FEATURES))
+        b_true = gen.normal(u_i, _MODEL_STD, size=N_CLASSES)
         level = gen.normal(0.0, np.sqrt(beta))
         mean_vec = gen.normal(level, 1.0, size=N_FEATURES)
         features = gen.normal(mean_vec, _FEATURE_STD, size=(n_i, N_FEATURES))

@@ -70,29 +70,37 @@ def ce_targets() -> QuadraticObjective:
     return _cache["targets"]
 
 
-def ce_batch(link_spec: str, variant: str, mode: str, trace_tag: str):
-    """Run CE_RUNS seeded trials (memoized); traces are shared across
-    variants via the trace_tag so paired comparisons see identical link
-    failures."""
-    key = (link_spec, variant, mode, trace_tag)
-    if key in _cache:
-        return _cache[key]
-    objective = ce_targets()
-    root = SeededStream(ROOT_SEED)
-    process = make_link_process(link_spec, CE_M)
-    cfg = AlgorithmConfig(variant, s=CE_S, eta=CE_ETA, local_compute=mode)
-    finals = np.empty((CE_RUNS, CE_D))
-    last_grad = np.empty(CE_RUNS)
-    first_grad = np.empty(CE_RUNS)
-    for r in range(CE_RUNS):
-        trace = build_trace(process, CE_T, root.child("trace", trace_tag, r))
-        res = run_experiment(cfg, objective, process, CE_T,
-                             root.child("sim", variant, mode, trace_tag, r), trace=trace)
-        finals[r] = res.final_state.global_model
-        last_grad[r] = res.rows[-1].grad_norm
-        first_grad[r] = res.rows[0].grad_norm
-    _cache[key] = {"finals": finals, "last_grad": last_grad, "first_grad": first_grad}
-    return _cache[key]
+# The two trace sets of criteria 2-5: tag -> (link, local-compute modes run on it).
+CE_TRACE_SETS = {"skew": ("halves:0.9,0.1", ("all", "active_only")),
+                 "uni": ("uniform:0.5", ("all",))}
+
+
+def ce_batch(trace_tag: str, variant: str, mode: str):
+    """CE_RUNS seeded trials of one (variant, mode) on a trace set (memoized).
+
+    Each replicate's trace is drawn once and drives every (variant, mode)
+    pair of its set, so paired comparisons see identical link failures.
+    """
+    if trace_tag not in _cache:
+        link_spec, modes = CE_TRACE_SETS[trace_tag]
+        objective = ce_targets()
+        root = SeededStream(ROOT_SEED)
+        process = make_link_process(link_spec, CE_M)
+        batches = {pair: {"finals": np.empty((CE_RUNS, CE_D)), "last_grad": np.empty(CE_RUNS),
+                          "first_grad": np.empty(CE_RUNS)}
+                   for pair in product(("fedavg", "fedpbc"), modes)}
+        for r in range(CE_RUNS):
+            trace = build_trace(process, CE_T, root.child("trace", trace_tag, r))
+            for (alg, compute), batch in batches.items():
+                cfg = AlgorithmConfig(alg, s=CE_S, eta=CE_ETA, local_compute=compute)
+                res = run_experiment(cfg, objective, process, CE_T,
+                                     root.child("sim", alg, compute, trace_tag, r),
+                                     trace=trace)
+                batch["finals"][r] = res.final_state.global_model
+                batch["last_grad"][r] = res.rows[-1].grad_norm
+                batch["first_grad"][r] = res.rows[0].grad_norm
+        _cache[trace_tag] = batches
+    return _cache[trace_tag][variant, mode]
 
 
 def test_c01_limit_oracle_triple_agreement():
@@ -120,7 +128,7 @@ def test_c02_fedavg_bias_matches_oracle():
         x_star = objective.global_optimum()
         oracle_gap = float(np.linalg.norm(predicted - x_star))
 
-        finals = ce_batch("halves:0.9,0.1", "fedavg", "all", "skew")["finals"]
+        finals = ce_batch("skew", "fedavg", "all")["finals"]
         mean = finals.mean(axis=0)
         se = finals.std(axis=0, ddof=1) / np.sqrt(CE_RUNS)
         assert np.all(np.abs(mean - predicted) <= 3.0 * se)
@@ -133,8 +141,8 @@ def test_c02_fedavg_bias_matches_oracle():
 
 def test_c03_fedpbc_corrects_bias():
     with criterion(3, "FedPBC removes the bias on shared traces", 300):
-        fedavg_final = float(ce_batch("halves:0.9,0.1", "fedavg", "all", "skew")["last_grad"].mean())
-        pbc = ce_batch("halves:0.9,0.1", "fedpbc", "all", "skew")
+        fedavg_final = float(ce_batch("skew", "fedavg", "all")["last_grad"].mean())
+        pbc = ce_batch("skew", "fedpbc", "all")
         fedpbc_final = float(pbc["last_grad"].mean())
         initial = float(pbc["first_grad"].mean())
         assert fedpbc_final < 0.01 * fedavg_final
@@ -143,9 +151,9 @@ def test_c03_fedpbc_corrects_bias():
 
 def test_c04_bias_persists_without_local_compute():
     with criterion(4, "bias persists with active-only local computation", 300):
-        reference = float(ce_batch("halves:0.9,0.1", "fedpbc", "all", "skew")["last_grad"].mean())
+        reference = float(ce_batch("skew", "fedpbc", "all")["last_grad"].mean())
         for variant in ("fedavg", "fedpbc"):
-            batch = ce_batch("halves:0.9,0.1", variant, "active_only", "skew")
+            batch = ce_batch("skew", variant, "active_only")
             assert float(batch["last_grad"].mean()) > 10.0 * reference
 
 
@@ -153,7 +161,7 @@ def test_c05_uniform_rates_recover_optimum():
     with criterion(5, "uniform rates converge to the true optimum", 300):
         x_star = ce_targets().global_optimum()
         for variant in ("fedavg", "fedpbc"):
-            batch = ce_batch("uniform:0.5", variant, "all", "uni")
+            batch = ce_batch("uni", variant, "all")
             mean = batch["finals"].mean(axis=0)
             se = batch["finals"].std(axis=0, ddof=1) / np.sqrt(CE_RUNS)
             assert np.all(np.abs(mean - x_star) <= 3.0 * se)
@@ -192,8 +200,7 @@ def test_c07_ergodicity_suite():
                 brute = np.zeros((m, m))
                 for bits in product((0, 1), repeat=m):
                     prob = np.prod([q if b else 1.0 - q for q, b in zip(p, bits)])
-                    W = build_mixing(ActiveSet(0, tuple(i for i, b in enumerate(bits) if b)),
-                                     m).entries
+                    W = build_mixing(ActiveSet(0, tuple(i for i, b in enumerate(bits) if b)), m)
                     brute += prob * (W @ W)
                 assert np.max(np.abs(M - brute)) <= 1e-12
             trials = 100_000

@@ -57,7 +57,7 @@ def test_out_of_range_values_name_key():
 
 
 @pytest.mark.parametrize("key", ["m", "d", "s", "eta", "T", "batch_size", "alpha", "beta",
-                                 "samples_per_client", "seed", "scale"])
+                                 "samples_per_client", "seed"])
 def test_malformed_number_names_key_and_line(key):
     text = MINIMAL_COUNTEREXAMPLE + f"{key} = abc\n"
     if key == "seed":
@@ -76,8 +76,8 @@ def test_seed_outside_64_bits_rejected(seed):
 def test_parse_config_is_the_reference_setup_overridden():
     assert parse_config(MINIMAL_SYNTHETIC) == reference_config(
         "synthetic", "fedpbc", "zipf:3,20000,0.1", 11)
-    assert parse_config(MINIMAL_COUNTEREXAMPLE + "m = 10\nscale = 0.5\n") == reference_config(
-        "counterexample", "fedavg", "halves:0.9,0.1", 7, m=10, scale=0.5)
+    assert parse_config(MINIMAL_COUNTEREXAMPLE + "m = 10\nT = 5\n") == reference_config(
+        "counterexample", "fedavg", "halves:0.9,0.1", 7, m=10, T=5)
     with pytest.raises(ConfigError, match="experiment"):
         reference_config("bogus", "fedavg", "uniform:0.5", 1)
 
@@ -114,7 +114,6 @@ def test_parse_serialize_parse_fixpoint_randomized():
             samples_per_client=int(rng.integers(2, 500)),
             link=str(link),
             seed=int(rng.integers(0, 2**31)),
-            scale=1.0,
             out=".")
         text = serialize_config(cfg)
         once = parse_config(text)
@@ -127,11 +126,19 @@ def test_comments_and_blank_lines_ignored():
     assert cfg.m == 10
 
 
-def test_scaled_applies_to_m_t_d():
-    cfg = parse_config(MINIMAL_COUNTEREXAMPLE + "scale = 0.2\n")
-    eff = cfg.scaled()
-    assert (eff.m, eff.d, eff.T) == (20, 20, 400)
-    assert eff.scale == 1.0
+def test_reference_config_scales_m_t_d_before_keys():
+    cfg = reference_config("counterexample", "fedavg", "halves:0.9,0.1", 7, scale=0.2)
+    assert (cfg.m, cfg.d, cfg.T) == (20, 20, 400)
+    assert reference_config("counterexample", "fedavg", "halves:0.9,0.1", 7, scale=0.2,
+                            m=7).m == 7
+    syn = reference_config("synthetic", "fedavg", "uniform:0.5", 7, scale=0.1)
+    assert (syn.m, syn.d, syn.T) == (15, 0, 300)
+
+
+@pytest.mark.parametrize("scale", [0.0, -0.5, 1.5, float("nan")])
+def test_reference_config_rejects_scale_outside_unit_interval(scale):
+    with pytest.raises(ConfigError, match="scale"):
+        reference_config("synthetic", "fedavg", "uniform:0.5", 7, scale=scale)
 
 
 def test_link_process_factory():

@@ -190,7 +190,9 @@ def test_oracle_cli_uniform_weights(capsys):
 def assert_cli_error(capsys, argv):
     """The command exits 1 with an ``error:`` line and no traceback."""
     assert main(argv) == 1
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    return err
 
 
 @pytest.mark.parametrize("base", [0.1, 0.3, 0.5])
@@ -265,6 +267,38 @@ def test_oracle_cli_rejects_malformed_targets(tmp_path, capsys, rows):
     assert_cli_error(capsys, ["oracle", "--p", "0.5,0.5", "--u", str(u_file)])
 
 
+def test_simulate_runs_the_config_it_records(tmp_path, capsys):
+    text = FAST_COUNTEREXAMPLE.format(alg="fedpbc", seed=3).replace(
+        "halves:0.9,0.1", "static:" + ",".join(["0.5"] * 8)).replace("m = 6", "m = 8")
+    with_scale = write_config(tmp_path, text + "scale = 0.5\n", "with_scale.txt")
+    assert "unknown key 'scale'" in assert_cli_error(
+        capsys, ["simulate", "--config", str(with_scale), "--out", str(tmp_path / "run")])
+    cfg = parse_config(text)
+    out = run_simulation(cfg)
+    assert out.result.final_state.num_clients == 8
+    assert len(out.rows) == out.manifest["end_round"] == 40
+    assert parse_config(out.manifest["config_text"]) == cfg
+
+
+GENDATA = ["gendata", "--alpha", "1", "--beta", "1", "--m", "2", "--samples", "4"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--config", "{tmp}/missing.cfg"],
+    GENDATA + ["--seed", "1", "--out", "{tmp}/nodir/g.csv"],
+    ["simulate", "--config", "{tmp}/through_file.cfg"],
+    ["mixing", "--p", "0.5,0.5", "--out", "{tmp}/nodir/x.jsonl"],
+    GENDATA + ["--seed", "-1", "--out", "{tmp}/g.csv"],
+    GENDATA + ["--seed", str(2**64), "--out", "{tmp}/g.csv"],
+], ids=["missing-config", "gendata-no-dir", "out-through-file", "mixing-no-dir",
+        "gendata-negative-seed", "gendata-seed-2^64"])
+def test_cli_file_and_seed_errors(tmp_path, capsys, argv):
+    (tmp_path / "plain").write_text("", encoding="utf-8")
+    write_config(tmp_path, FAST_COUNTEREXAMPLE.format(alg="fedavg", seed=1)
+                 + f"out = {tmp_path / 'plain' / 'run'}\n", "through_file.cfg")
+    assert_cli_error(capsys, [arg.format(tmp=tmp_path) for arg in argv])
+
+
 def test_gendata_cli_roundtrip(tmp_path):
     out = tmp_path / "data.csv"
     assert main(["gendata", "--alpha", "1", "--beta", "1", "--m", "3",
@@ -294,10 +328,10 @@ def test_reproduce_fig2_smoke(tmp_path):
                  for alg in ("fedavg", "fedpbc")]
     assert manifests[0]["trace_sha256"] == manifests[1]["trace_sha256"]
     assert manifests[0]["trace_sha256"]
-    # Each run is the config-default setup, scaled, with its grid cell's
+    # Each run is the config-default setup at scale 0.1, with its grid cell's
     # algorithm, local computation and link.
     base = reference_config("counterexample", "fedavg", "uniform:0.5", 77, scale=0.1,
-                            out=str(tmp_path / "fig2")).scaled()
+                            out=str(tmp_path / "fig2"))
     for alg, mode in product(("fedavg", "fedpbc"), ("all", "active_only")):
         manifest = manifest_without_walltime(
             tmp_path / "fig2" / f"p05-01_{alg}_{mode}_manifest.json")
@@ -317,7 +351,7 @@ def test_reproduce_fig3_smoke(tmp_path):
         assert key not in summary and key not in on_disk
     assert set(on_disk["fedpbc"]) == {"train_loss", "test_accuracy"}
     base = reference_config("synthetic", "fedavg", FIG3_LINK, 5, scale=0.1,
-                            out=str(tmp_path / "fig3")).scaled()
+                            out=str(tmp_path / "fig3"))
     assert (base.m, base.T) == (on_disk["m"], on_disk["T"]) == (15, 300)
     for alg in ("fedavg", "fedpbc"):
         manifest = manifest_without_walltime(tmp_path / "fig3" / f"{alg}_manifest.json")

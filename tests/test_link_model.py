@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -126,7 +128,8 @@ def test_trace_roundtrip(tmp_path):
     proc = StaticLinkProcess([0.3, 0.8])
     trace = build_trace(proc, 7, SeededStream(14).child("links"))
     path = tmp_path / "trace.csv"
-    write_trace_csv(path, trace)
+    digest = write_trace_csv(path, trace)
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
     back = read_trace_csv(path)
     assert len(back) == 7
     for orig, loaded in zip(trace, back):

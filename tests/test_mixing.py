@@ -18,24 +18,24 @@ def enumerate_expected_square(p: np.ndarray) -> np.ndarray:
     for bits in product((0, 1), repeat=m):
         prob = np.prod([pi if b else 1.0 - pi for pi, b in zip(p, bits)])
         members = tuple(i for i, b in enumerate(bits) if b)
-        W = build_mixing(ActiveSet(0, members), m).entries
+        W = build_mixing(ActiveSet(0, members), m)
         M += prob * (W @ W)
     return M
 
 
 def test_build_mixing_full_pair():
-    W = build_mixing(ActiveSet(0, (0, 1)), 2).entries
+    W = build_mixing(ActiveSet(0, (0, 1)), 2)
     assert np.allclose(W, np.full((2, 2), 0.5), atol=0)
 
 
 def test_build_mixing_singleton_is_identity():
-    W = build_mixing(ActiveSet(0, (0,)), 2).entries
+    W = build_mixing(ActiveSet(0, (0,)), 2)
     assert np.array_equal(W, np.eye(2))
-    assert np.array_equal(build_mixing(ActiveSet(0, ()), 3).entries, np.eye(3))
+    assert np.array_equal(build_mixing(ActiveSet(0, ()), 3), np.eye(3))
 
 
 def test_build_mixing_partial_activation():
-    W = build_mixing(ActiveSet(0, (0, 2)), 3).entries
+    W = build_mixing(ActiveSet(0, (0, 2)), 3)
     expected = np.array([[0.5, 0.0, 0.5], [0.0, 1.0, 0.0], [0.5, 0.0, 0.5]])
     assert np.array_equal(W, expected)
 
@@ -51,7 +51,7 @@ def test_mixing_is_projection_and_stochastic():
         m = int(rng.integers(1, 12))
         members = tuple(int(i) for i in np.sort(
             rng.choice(m, size=rng.integers(0, m + 1), replace=False)))
-        W = build_mixing(ActiveSet(0, members), m).entries
+        W = build_mixing(ActiveSet(0, members), m)
         assert np.allclose(W @ np.ones(m), np.ones(m), atol=0)
         assert np.array_equal(W, W.T)
         # W is the averaging projection on the active block, so W^2 = W.

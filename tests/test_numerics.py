@@ -17,7 +17,7 @@ def random_mixing_average(rng, m, patterns=6):
     M = np.zeros((m, m))
     for w in weights:
         members = tuple(int(i) for i in np.sort(rng.choice(m, size=rng.integers(0, m + 1), replace=False)))
-        W = build_mixing(ActiveSet(0, members), m).entries
+        W = build_mixing(ActiveSet(0, members), m)
         M += w * (W @ W)
     return M
 

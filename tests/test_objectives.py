@@ -115,14 +115,6 @@ def test_generate_synthetic_shapes_and_partitions():
         assert set(np.concatenate([cl.train_y, cl.test_y])) <= set(range(N_CLASSES))
 
 
-def test_generate_synthetic_degenerate_shared_model():
-    ds = generate_synthetic(0.0, 0.0, 4, 10, SeededStream(5).child("data"), model_std=0.0)
-    # With zero target-model noise every client labels with the same
-    # (zero) model; the hook exists so the iid limit is inspectable.
-    labels = np.concatenate([np.concatenate([c.train_y, c.test_y]) for c in ds.clients])
-    assert len(set(labels.tolist())) == 1
-
-
 def test_generate_synthetic_label_histogram_nondegenerate():
     ds = generate_synthetic(1.0, 1.0, 40, 250, SeededStream(424242).child("data"))
     labels = np.concatenate([np.concatenate([c.train_y, c.test_y]) for c in ds.clients])

@@ -31,7 +31,7 @@ def active_sets(draw, max_m=40):
 @given(active_sets())
 def test_mixing_matrix_is_symmetric_stochastic_projection(case):
     m, active = case
-    W = build_mixing(active, m).entries
+    W = build_mixing(active, m)
     assert np.array_equal(W, W.T)
     assert W.min() >= 0.0
     assert np.max(np.abs(W.sum(axis=0) - 1.0)) <= 1e-13
