@@ -1,33 +1,30 @@
 """One round engine for federated averaging under intermittent links.
 
-Every round, ``run_round`` takes one step: the computing clients (all of
-them, or only the active ones under ``local_compute="active_only"``,
-whose inactive columns stay frozen) take s gradient steps together at a
-fixed step size on the round's fresh mini-batches, through the
-objective's ``gradient_fleet``; the server averages the results of the
-clients whose links were up.  The two algorithms differ only in when the
-server's state reaches the clients:
+``run_round`` builds each round, and ``run_experiment`` calls it once per
+round of a link trace and collects the metrics rows.  A round, in order:
 
-* ``fedavg``  — the round begins with a broadcast.  Clients with active
-  links restart from the server model; the rest continue from their own.
-  Client columns keep their own local results.
-
-* ``fedpbc``  — the broadcast is postponed to the end of the round.  Every
-  client continues from its own model; after aggregation the new server
-  model is multicast only to the clients whose links were active, whose
-  columns are overwritten with it.
-
-Metrics rows record the fleet as each round's local computation sees it
-(after FedAvg's broadcast), which is also the exact state FedPBC carries
-between rounds: gradient norm of the mean iterate, consensus error
-(1/m) sum_i ||x_i - x_bar||^2, train loss, test accuracy, and the active
-count.
+1. FedAvg's broadcast: clients with active links restart from the server
+   model; the rest continue from their own.  FedPBC postpones it, so
+   every client continues from its own model.
+2. One metrics row of that start fleet, which is also the exact state
+   FedPBC carries between rounds: gradient norm of the mean iterate,
+   consensus error (1/m) sum_i ||x_i - x_bar||^2, train loss, test
+   accuracy, and the active count.
+3. The computing clients (all of them, or only the active ones under
+   ``local_compute="active_only"``, whose inactive columns stay frozen)
+   draw the round's mini-batches and take s gradient steps together at a
+   fixed step size, through the objective's ``gradient_fleet``.
+4. A finiteness check; a non-finite iterate raises ``DivergedRunError``
+   carrying the rows so far, the diverging round's included.
+5. The server averages the clients whose links were up.  FedPBC then
+   multicasts the new server model to those clients only, overwriting
+   their columns; under FedAvg every column keeps its local result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -91,45 +88,45 @@ class MetricsRow:
     active_count: int
 
 
-def computing_clients(active: ActiveSet, cfg: AlgorithmConfig, m: int) -> np.ndarray:
-    """Ids, increasing, of the clients that take local steps this round."""
-    if cfg.local_compute == "all":
-        return np.arange(m)
-    return np.array(active.members, dtype=int)
+def _measure(t: int, starts: np.ndarray, objective, active_count: int) -> MetricsRow:
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_bar = starts.mean(axis=1)
+        loss, grad = objective.loss_and_gradient(x_bar)
+        dev = starts - x_bar[:, None]
+        consensus = float((dev * dev).sum() / starts.shape[1])
+        return MetricsRow(round=t, grad_norm=float(np.linalg.norm(grad)),
+                          consensus_error=consensus, train_loss=loss,
+                          test_accuracy=objective.test_accuracy(x_bar),
+                          active_count=active_count)
 
 
-def round_starts(state: FleetState, active: ActiveSet, cfg: AlgorithmConfig) -> np.ndarray:
-    """Starting points of this round's local computation.
-
-    FedAvg resets active clients to the server model; FedPBC always starts
-    from the clients' own columns.
-    """
-    if cfg.variant == "fedavg":
-        mask = active.mask(state.num_clients)
-        return np.where(mask[None, :], state.global_model[:, None], state.X)
-    return state.X.copy()
-
-
-def _check_finite(X: np.ndarray, t: int, rows=None) -> None:
+def _check_finite(X: np.ndarray, row: MetricsRow) -> None:
     if np.all(np.isfinite(X)):
         return
     bad = int(np.nonzero(~np.isfinite(X).all(axis=0))[0][0])
-    raise DivergedRunError(f"non-finite iterate at round {t}, client {bad}",
-                           round_index=t, client=bad, rows=rows)
+    raise DivergedRunError(f"non-finite iterate at round {row.round}, client {bad}",
+                           round_index=row.round, client=bad, rows=[row])
 
 
 def run_round(state: FleetState, active: ActiveSet, cfg: AlgorithmConfig,
-              objective, batch) -> FleetState:
-    """One round of either variant.
+              objective, batchers) -> Tuple[FleetState, MetricsRow]:
+    """One round of either variant: the next state and the row of its start.
 
-    ``batch`` is the objective's ``fleet_batch`` for the clients of
-    ``computing_clients``; their columns take ``cfg.s`` steps together
-    through ``gradient_fleet``, and the other columns keep their starts.
+    The steps of the module docstring, on a copy of ``state.X``.  The
+    computing clients draw their batches from ``batchers`` (the
+    objective's ``make_batchers``; ``None`` for the quadratic) through
+    ``objective.fleet_batch``.  A ``DivergedRunError`` carries this
+    round's row only.
     """
     m = state.num_clients
-    X = round_starts(state, active, cfg)
-    clients = computing_clients(active, cfg, m)
+    members = list(active.members)
+    X = state.X.copy()
+    if cfg.variant == "fedavg":
+        X[:, members] = state.global_model[:, None]  # the broadcast
+    row = _measure(state.round, X, objective, len(members))
+    clients = np.arange(m) if cfg.local_compute == "all" else np.array(members, dtype=int)
     if len(clients):
+        batch = objective.fleet_batch(clients, batchers)
         local = X if len(clients) == m else X[:, clients]
         buf = np.empty_like(local)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -139,12 +136,11 @@ def run_round(state: FleetState, active: ActiveSet, cfg: AlgorithmConfig,
                 local -= buf
         if local is not X:
             X[:, clients] = local
-    _check_finite(X, state.round)
-    members = list(active.members)
+    _check_finite(X, row)
     new_global = X[:, members].mean(axis=1) if members else state.global_model.copy()
     if cfg.variant == "fedpbc":
         X[:, members] = new_global[:, None]  # the postponed multicast
-    return FleetState(X=X, global_model=new_global, round=state.round + 1)
+    return FleetState(X=X, global_model=new_global, round=state.round + 1), row
 
 
 def matrix_form_check(state_before: FleetState, active: ActiveSet,
@@ -176,28 +172,18 @@ class ExperimentResult:
     rows: List[MetricsRow]
 
 
-def _measure(t: int, starts: np.ndarray, objective, active_count: int) -> MetricsRow:
-    with np.errstate(over="ignore", invalid="ignore"):
-        x_bar = starts.mean(axis=1)
-        loss, grad = objective.loss_and_gradient(x_bar)
-        dev = starts - x_bar[:, None]
-        consensus = float((dev * dev).sum() / starts.shape[1])
-        return MetricsRow(round=t, grad_norm=float(np.linalg.norm(grad)),
-                          consensus_error=consensus, train_loss=loss,
-                          test_accuracy=objective.test_accuracy(x_bar),
-                          active_count=active_count)
-
-
 def run_experiment(cfg: AlgorithmConfig, objective, link_process, T: int,
                    stream: SeededStream, *, trace: Optional[Sequence[TraceRound]] = None,
                    batch_size: int = 32, x0: Optional[np.ndarray] = None) -> ExperimentResult:
-    """Execute T rounds and record one metrics row per round.
+    """``run_round`` over the first T rounds of a trace; one row per round.
 
     Randomness is addressed by purpose: link draws under ``links`` and
     mini-batches under ``batches``/client id, so the two algorithm
     variants driven by the same stream consume identical link traces and
     identical batches.  Without ``trace``, the links are drawn up front by
     ``build_trace`` under ``links``; either way the run replays a trace.
+    A ``DivergedRunError`` leaves with every row recorded, the diverging
+    round's last.
     """
     if T < 1:
         raise ConfigError("round count T must be >= 1")
@@ -205,24 +191,17 @@ def run_experiment(cfg: AlgorithmConfig, objective, link_process, T: int,
         trace = build_trace(link_process, T, stream.child("links"))
     if len(trace) < T:
         raise ConfigError(f"trace has {len(trace)} rounds, need {T}")
-    m = objective.num_clients
     if x0 is None:
         x0 = np.zeros(objective.dim)
-    state = FleetState.initial(x0, m)
+    state = FleetState.initial(x0, objective.num_clients)
 
     batchers = objective.make_batchers(batch_size, stream.child("batches"))
-
     rows: List[MetricsRow] = []
     for t in range(T):
-        active = trace[t].active
-        starts = round_starts(state, active, cfg)
-        rows.append(_measure(t, starts, objective, len(active)))
-
-        clients = computing_clients(active, cfg, m)
-        batch = objective.fleet_batch(clients, batchers) if len(clients) else None
         try:
-            state = run_round(state, active, cfg, objective, batch)
+            state, row = run_round(state, trace[t].active, cfg, objective, batchers)
         except DivergedRunError as err:
-            raise DivergedRunError(str(err), round_index=t, client=err.client,
-                                   rows=rows) from None
+            err.rows = rows + err.rows
+            raise
+        rows.append(row)
     return ExperimentResult(final_state=state, rows=rows)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -116,8 +117,10 @@ def main(argv=None) -> int:
             with open(args.config, "r", encoding="utf-8") as fh:
                 cfg = parse_config(fh.read())
             cfg, seed_source = resolve_seed_override(cfg)
+            out_dir = args.out or cfg.out
+            os.makedirs(out_dir, exist_ok=True)  # fail before the run, not after it
             out = run_simulation(cfg, seed_source=seed_source)
-            write_run_outputs(args.out or cfg.out, out)
+            write_run_outputs(out_dir, out)
             return out.exit_code
         if args.command == "reproduce-fig2":
             reproduce_fig2(args.scale, args.out, seed=args.seed)

@@ -29,6 +29,7 @@ from .algorithms import AlgorithmConfig
 from .errors import ConfigError
 from .link_model import StaticLinkProcess, ZipfCountLinkProcess
 from .numerics import format_real
+from .objectives import check_synthetic
 from .streams import MAX_SEED
 
 # The reference setup of each experiment: every key but the four required
@@ -140,6 +141,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigError(f"key '{key}' must be >= 1")
     if cfg.experiment == "counterexample" and cfg.d < 1:
         raise ConfigError("key 'd' must be >= 1")
+    if cfg.experiment == "synthetic":
+        check_synthetic(cfg.alpha, cfg.beta, cfg.samples_per_client)
     check_seed(cfg.seed)
     make_link_process(cfg.link, cfg.m)  # validates the spec string
 

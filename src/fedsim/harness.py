@@ -208,10 +208,9 @@ def reproduce_fig2(scale: float, out_dir, seed: int = 1234) -> dict:
                 out = run_simulation(cfg, trace=trace, trace_sha=sha)
                 name = f"{tag}_{variant}_{mode}"
                 write_run_outputs(out_dir, out, name=name)
-                final = out.rows[-1] if out.rows else None
                 summary.append({
                     "p0": p0, "p1": p1, "algorithm": variant, "local_compute": mode,
-                    "final_grad_norm": None if final is None else final.grad_norm,
+                    "final_grad_norm": out.rows[-1].grad_norm,
                     "oracle_gap": oracle_gap,
                     "final_global_distance_to_prediction": (
                         None if out.result is None else
@@ -225,8 +224,7 @@ def reproduce_fig2(scale: float, out_dir, seed: int = 1234) -> dict:
         for row in summary:
             fh.write(",".join([
                 format_real(row["p0"]), format_real(row["p1"]), row["algorithm"],
-                row["local_compute"],
-                "" if row["final_grad_norm"] is None else format_real(row["final_grad_norm"]),
+                row["local_compute"], format_real(row["final_grad_norm"]),
                 format_real(row["oracle_gap"]),
                 "" if row["final_global_distance_to_prediction"] is None
                 else format_real(row["final_global_distance_to_prediction"]),
@@ -237,9 +235,10 @@ def reproduce_fig2(scale: float, out_dir, seed: int = 1234) -> dict:
 def reproduce_fig3(scale: float, out_dir, seed: int = 1234) -> dict:
     """Softmax-regression comparison under the time-varying Zipf schedule.
 
-    Generates the heterogeneous dataset once, samples one shared link
-    trace, runs both algorithms on it, and writes a summary of the final
-    train loss and test accuracy of each.
+    Samples one shared link trace and runs both algorithms on it, each
+    through ``run_simulation``, which generates the heterogeneous dataset
+    from the seed for its own run; writes a summary of the final train
+    loss and test accuracy of each.
     """
     base = reference_config("synthetic", VARIANTS[0], FIG3_LINK, seed,
                             scale=scale, out=str(out_dir))
@@ -300,10 +299,10 @@ def mixing_report(p_rounds: Sequence[np.ndarray]) -> List[dict]:
             "entry_lower_bound": lower,
             "entries_above_lower_bound": bool(np.all(M >= lower - 1e-12)),
         })
+    bound = ergodicity_bound(floor, p_rounds[0].size)
     records.append({
         "type": "summary", "rounds": len(records), "rho_max": rho_max,
-        "ergodicity_bound": ergodicity_bound(floor, p_rounds[0].size),
-        "rho_max_within_bound": bool(rho_max <= ergodicity_bound(floor, p_rounds[0].size)),
+        "ergodicity_bound": bound, "rho_max_within_bound": bool(rho_max <= bound),
         "rho_product_diagnostic": rho_prod,
     })
     return records

@@ -158,6 +158,15 @@ class FederatedDataset:
         return len(self.clients)
 
 
+def check_synthetic(alpha: float, beta: float, samples_per_client: int) -> None:
+    """The generator's rules on its variances and sample count, which a
+    synthetic config must meet before its run starts."""
+    if samples_per_client < 2:
+        raise ConfigError("need at least 2 samples per client")
+    if not (0 <= alpha < np.inf and 0 <= beta < np.inf):
+        raise ConfigError("alpha and beta are variances and must be finite and >= 0")
+
+
 def generate_synthetic(alpha: float, beta: float, m: int, samples_per_client: int,
                        stream: SeededStream, *, count_mode: str = "fixed") -> FederatedDataset:
     """Generate the heterogeneous softmax-regression dataset.
@@ -174,10 +183,7 @@ def generate_synthetic(alpha: float, beta: float, m: int, samples_per_client: in
     """
     if m < 1:
         raise ConfigError("client count must be >= 1")
-    if samples_per_client < 2:
-        raise ConfigError("need at least 2 samples per client")
-    if not (0 <= alpha < np.inf and 0 <= beta < np.inf):
-        raise ConfigError("alpha and beta are variances and must be finite and >= 0")
+    check_synthetic(alpha, beta, samples_per_client)
     if count_mode not in ("fixed", "lognormal"):
         raise ConfigError(f"unknown count_mode {count_mode!r}")
 

@@ -22,8 +22,8 @@ def test_local_steps_reference_values():
     for x0, s, eta, expected in [(0.0, 1, 0.5, 1.0), (0.0, 2, 0.5, 1.5), (2.0, 5, 0.5, 2.0)]:
         for variant in ("fedavg", "fedpbc"):
             cfg = AlgorithmConfig(variant, s=s, eta=eta)
-            nxt = run_round(FleetState.initial(np.array([x0]), 1), ActiveSet(0, (0,)),
-                            cfg, obj, obj.targets)
+            nxt, _ = run_round(FleetState.initial(np.array([x0]), 1), ActiveSet(0, (0,)),
+                               cfg, obj, None)
             assert nxt.X[0, 0] == pytest.approx(expected)
             assert nxt.global_model == pytest.approx([expected])
 
@@ -33,7 +33,7 @@ def test_local_steps_divergence_detection():
     cfg = AlgorithmConfig("fedavg", s=400, eta=3.0)
     state = FleetState.initial(np.array([1e300]), 1)
     with pytest.raises(DivergedRunError) as err:
-        run_round(state, ActiveSet(0, (0,)), cfg, obj, obj.targets)
+        run_round(state, ActiveSet(0, (0,)), cfg, obj, None)
     assert err.value.client == 0
 
 
@@ -41,7 +41,7 @@ def test_fedavg_round_all_active():
     obj = two_client_objective()
     cfg = AlgorithmConfig("fedavg", s=1, eta=0.5)
     state = FleetState.initial(np.zeros(1), 2)
-    nxt = run_round(state, ActiveSet(0, (0, 1)), cfg, obj, obj.targets)
+    nxt, _ = run_round(state, ActiveSet(0, (0, 1)), cfg, obj, None)
     assert nxt.global_model == pytest.approx([0.5])
     assert nxt.X[0].tolist() == [0.0, 1.0]  # columns keep local results
     assert nxt.round == 1
@@ -51,7 +51,7 @@ def test_fedavg_round_empty_active_set():
     obj = two_client_objective()
     cfg = AlgorithmConfig("fedavg", s=1, eta=0.5)
     state = FleetState.initial(np.array([1.0]), 2)
-    nxt = run_round(state, ActiveSet(0, ()), cfg, obj, obj.targets)
+    nxt, _ = run_round(state, ActiveSet(0, ()), cfg, obj, None)
     assert nxt.global_model == pytest.approx([1.0])  # unchanged
     # with local_compute=all every column still advances
     assert nxt.X[0] == pytest.approx([0.5, 1.5])
@@ -61,7 +61,7 @@ def test_fedavg_active_only_freezes_inactive():
     obj = two_client_objective()
     cfg = AlgorithmConfig("fedavg", s=1, eta=0.5, local_compute="active_only")
     state = FleetState.initial(np.array([1.0]), 2)
-    nxt = run_round(state, ActiveSet(0, (1,)), cfg, obj, obj.targets[:, [1]])
+    nxt, _ = run_round(state, ActiveSet(0, (1,)), cfg, obj, None)
     assert nxt.X[0, 0] == 1.0          # frozen
     assert nxt.X[0, 1] == pytest.approx(1.5)
     assert nxt.global_model == pytest.approx([1.5])
@@ -71,7 +71,7 @@ def test_fedpbc_round_single_active_client():
     obj = two_client_objective()
     cfg = AlgorithmConfig("fedpbc", s=1, eta=0.5)
     state = FleetState.initial(np.zeros(1), 2)
-    nxt = run_round(state, ActiveSet(0, (1,)), cfg, obj, obj.targets)
+    nxt, _ = run_round(state, ActiveSet(0, (1,)), cfg, obj, None)
     # client 1 stepped 0 -> 1; |A| = 1 so the global adopts it and the
     # multicast overwrites client 1's column; client 0 keeps its result.
     assert nxt.global_model == pytest.approx([1.0])
@@ -82,7 +82,7 @@ def test_fedpbc_round_empty_active_set():
     obj = two_client_objective()
     cfg = AlgorithmConfig("fedpbc", s=1, eta=0.5)
     state = FleetState.initial(np.array([1.0]), 2)
-    nxt = run_round(state, ActiveSet(0, ()), cfg, obj, obj.targets)
+    nxt, _ = run_round(state, ActiveSet(0, ()), cfg, obj, None)
     assert nxt.global_model == pytest.approx([1.0])
     assert nxt.X[0] == pytest.approx([0.5, 1.5])
 
@@ -95,7 +95,7 @@ def test_fedpbc_active_clients_reach_consensus():
     stream = SeededStream(10).child("links")
     for t in range(30):
         active = sample_active_set(np.full(6, 0.5), t, stream)
-        state = run_round(state, active, cfg, obj, obj.targets)
+        state, _ = run_round(state, active, cfg, obj, None)
         for i in active.members:
             assert np.array_equal(state.X[:, i], state.global_model)
 
@@ -120,7 +120,7 @@ def test_fedpbc_conserves_global_on_empty_rounds():
     cfg = AlgorithmConfig("fedpbc", s=2, eta=0.1)
     state = FleetState.initial(np.array([0.7]), 2)
     for t in range(5):
-        state = run_round(state, ActiveSet(t, ()), cfg, obj, obj.targets)
+        state, _ = run_round(state, ActiveSet(t, ()), cfg, obj, None)
     assert state.global_model == pytest.approx([0.7])
 
 
@@ -131,7 +131,7 @@ def test_matrix_form_identity_trivial_cases():
     state = FleetState.initial(np.zeros(3), 4)
     for members in [(0, 1, 2, 3), ()]:
         active = ActiveSet(0, members)
-        nxt = run_round(state, active, cfg, obj, obj.targets)
+        nxt, _ = run_round(state, active, cfg, obj, None)
         assert matrix_form_check(state, active, cfg, obj, nxt, obj.targets) <= 1e-10
 
 
@@ -143,7 +143,7 @@ def test_matrix_form_identity_random_rounds():
     stream = SeededStream(70).child("links")
     for t in range(100):
         active = sample_active_set(np.full(7, 0.4), t, stream)
-        nxt = run_round(state, active, cfg, obj, obj.targets)
+        nxt, _ = run_round(state, active, cfg, obj, None)
         assert matrix_form_check(state, active, cfg, obj, nxt, obj.targets) <= 1e-10
         state = nxt
 
@@ -215,6 +215,7 @@ def test_run_experiment_divergence_carries_partial_rows():
     assert err.value.round_index >= 0
     # the failing round's start-of-round row is already recorded
     assert len(err.value.rows) == err.value.round_index + 1
+    assert err.value.rows[-1].round == err.value.round_index
 
 
 def test_run_experiment_softmax_records_accuracy():
@@ -283,3 +284,45 @@ def test_softmax_fedpbc_multicasts_to_last_round_active_clients():
                               np.repeat(state.global_model[:, None], len(members), axis=1))
         others = [i for i in range(10) if i not in members]
         assert not np.any(np.all(state.X[:, others] == state.global_model[:, None], axis=0))
+
+
+def run_round_loop(cfg, obj, trace, T, stream, batch_size=32, x0=None):
+    """What run_experiment must amount to: T run_round calls on its trace
+    and on batchers drawn from its stream path."""
+    state = FleetState.initial(np.zeros(obj.dim) if x0 is None else x0, obj.num_clients)
+    batchers = obj.make_batchers(batch_size, stream.child("batches"))
+    rows = []
+    for t in range(T):
+        state, row = run_round(state, trace[t].active, cfg, obj, batchers)
+        rows.append(row)
+    return state, rows
+
+
+def assert_same_run(res, state, rows):
+    assert res.rows == rows
+    assert np.array_equal(res.final_state.X, state.X)
+    assert np.array_equal(res.final_state.global_model, state.global_model)
+    assert res.final_state.round == state.round
+
+
+@pytest.mark.parametrize("variant", ["fedavg", "fedpbc"])
+@pytest.mark.parametrize("mode", ["all", "active_only"])
+def test_run_experiment_is_run_round_in_a_loop_quadratic(variant, mode):
+    obj = QuadraticObjective(np.random.default_rng(61).normal(size=(3, 8)))
+    trace = partial_trace(np.linspace(0.1, 0.9, 8), 40, 62)
+    cfg = AlgorithmConfig(variant, s=3, eta=0.1, local_compute=mode)
+    sim = SeededStream(63).child("sim")
+    res = run_experiment(cfg, obj, StaticLinkProcess(np.ones(8)), 40, sim, trace=trace)
+    assert_same_run(res, *run_round_loop(cfg, obj, trace, 40, sim))
+
+
+def test_run_experiment_is_run_round_in_a_loop_softmax_active_only():
+    obj = ragged_softmax_fleet(10)
+    trace = partial_trace(np.full(10, 0.4), 6, 64)
+    x0 = np.random.default_rng(64).normal(scale=0.1, size=obj.dim)
+    for variant in ("fedavg", "fedpbc"):
+        cfg = AlgorithmConfig(variant, s=2, eta=0.05, local_compute="active_only")
+        sim = SeededStream(65).child("sim")
+        res = run_experiment(cfg, obj, StaticLinkProcess(np.ones(10)), 6, sim,
+                             trace=trace, batch_size=48, x0=x0)
+        assert_same_run(res, *run_round_loop(cfg, obj, trace, 6, sim, 48, x0))

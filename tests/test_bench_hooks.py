@@ -8,9 +8,15 @@ crash of ``perfbench/run.py --trace 1``.
 import os
 import sys
 
+import numpy as np
+
 import fedsim
 import fedsim.cli
 import fedsim.harness
+from fedsim.algorithms import AlgorithmConfig
+from fedsim.link_model import StaticLinkProcess
+from fedsim.objectives import QuadraticObjective
+from fedsim.streams import SeededStream
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench")
@@ -33,3 +39,22 @@ def test_tracer_resolves_every_traced_name():
     finally:
         tracer.uninstall()
     assert not hasattr(fedsim.algorithms.run_round, "__wrapped__")
+
+
+def test_traced_run_experiment_calls_run_round_once_per_round():
+    # algorithms.round_self_s is the self time of these calls, so each
+    # round must be one run_round call, measurement and batch included.
+    obj = QuadraticObjective(np.random.default_rng(1).normal(size=(2, 5)))
+    T = 7
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        fedsim.algorithms.run_experiment(AlgorithmConfig("fedavg", s=2, eta=0.1), obj,
+                                         StaticLinkProcess(np.full(5, 0.5)), T,
+                                         SeededStream(2).child("sim"))
+    finally:
+        tracer.uninstall()
+    stats = tracer.take_stats()
+    assert stats.calls["algorithms.run_experiment"] == 1
+    assert stats.calls["algorithms.run_round"] == T
+    assert stats.self_time["algorithms.run_round"] > 0.0

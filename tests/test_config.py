@@ -54,6 +54,11 @@ def test_out_of_range_values_name_key():
         parse_config(MINIMAL_COUNTEREXAMPLE + "eta = -1\n")
     with pytest.raises(ConfigError, match="integer"):
         parse_config(MINIMAL_COUNTEREXAMPLE + "m = abc\n")
+    # The dataset generator's own rules, checked before any run starts.
+    with pytest.raises(ConfigError, match="at least 2 samples"):
+        parse_config(MINIMAL_SYNTHETIC + "samples_per_client = 1\n")
+    with pytest.raises(ConfigError, match="variances"):
+        parse_config(MINIMAL_SYNTHETIC + "beta = -1\n")
 
 
 @pytest.mark.parametrize("key", ["m", "d", "s", "eta", "T", "batch_size", "alpha", "beta",

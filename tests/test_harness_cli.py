@@ -287,12 +287,20 @@ GENDATA = ["gendata", "--alpha", "1", "--beta", "1", "--m", "2", "--samples", "4
     ["simulate", "--config", "{tmp}/missing.cfg"],
     GENDATA + ["--seed", "1", "--out", "{tmp}/nodir/g.csv"],
     ["simulate", "--config", "{tmp}/through_file.cfg"],
+    ["simulate", "--config", "{tmp}/through_file.cfg", "--out", "{tmp}/plain/flag"],
     ["mixing", "--p", "0.5,0.5", "--out", "{tmp}/nodir/x.jsonl"],
     GENDATA + ["--seed", "-1", "--out", "{tmp}/g.csv"],
     GENDATA + ["--seed", str(2**64), "--out", "{tmp}/g.csv"],
-], ids=["missing-config", "gendata-no-dir", "out-through-file", "mixing-no-dir",
-        "gendata-negative-seed", "gendata-seed-2^64"])
-def test_cli_file_and_seed_errors(tmp_path, capsys, argv):
+], ids=["missing-config", "gendata-no-dir", "out-through-file", "out-flag-through-file",
+        "mixing-no-dir", "gendata-negative-seed", "gendata-seed-2^64"])
+def test_cli_file_and_seed_errors(tmp_path, capsys, monkeypatch, argv):
+    # Each fails before any round runs: simulate creates its output
+    # directory first.  (A read-only directory cannot stand in for the
+    # regular file here, since a superuser may write into it.)
+    def no_run(*args, **kwargs):
+        raise AssertionError("run_simulation called")
+
+    monkeypatch.setattr("fedsim.cli.run_simulation", no_run)
     (tmp_path / "plain").write_text("", encoding="utf-8")
     write_config(tmp_path, FAST_COUNTEREXAMPLE.format(alg="fedavg", seed=1)
                  + f"out = {tmp_path / 'plain' / 'run'}\n", "through_file.cfg")

@@ -49,7 +49,7 @@ def test_fedpbc_empty_round_moves_each_column_by_its_own_steps(d, m, s, eta, see
     state = FleetState(X=rng.normal(size=(d, m)), global_model=rng.normal(size=d), round=3)
     empty = ActiveSet(3, ())
 
-    nxt = run_round(state, empty, AlgorithmConfig("fedpbc", s=s, eta=eta), obj, obj.targets)
+    nxt, _ = run_round(state, empty, AlgorithmConfig("fedpbc", s=s, eta=eta), obj, None)
     assert np.array_equal(nxt.global_model, state.global_model)
     assert nxt.round == 4
     for i in range(m):
@@ -59,9 +59,9 @@ def test_fedpbc_empty_round_moves_each_column_by_its_own_steps(d, m, s, eta, see
         assert np.array_equal(nxt.X[:, i], x)
 
     # Under active_only no client computes, so nothing moves at all.
-    frozen = run_round(state, empty, AlgorithmConfig("fedpbc", s=s, eta=eta,
-                                                     local_compute="active_only"),
-                       obj, None)
+    frozen, _ = run_round(state, empty, AlgorithmConfig("fedpbc", s=s, eta=eta,
+                                                        local_compute="active_only"),
+                          obj, None)
     assert np.array_equal(frozen.X, state.X)
     assert np.array_equal(frozen.global_model, state.global_model)
 
