@@ -59,17 +59,26 @@ def write_metrics_csv(path, rows: Sequence[MetricsRow]) -> None:
 
 
 def read_metrics_csv(path) -> List[MetricsRow]:
+    """Read a file written by ``write_metrics_csv``; a row that it could not
+    have written raises ``ConfigError`` naming the line."""
+    n_fields = METRICS_HEADER.count(",") + 1
     rows = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         header = fh.readline().rstrip("\n")
         if header != METRICS_HEADER:
             raise ConfigError(f"unexpected metrics header {header!r}")
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
+            where = f"metrics line {lineno}"
             f = line.rstrip("\n").split(",")
-            rows.append(MetricsRow(
-                round=int(f[0]), grad_norm=float(f[1]), consensus_error=float(f[2]),
-                train_loss=float(f[3]), test_accuracy=None if f[4] == "" else float(f[4]),
-                active_count=int(f[5])))
+            if len(f) != n_fields:
+                raise ConfigError(f"{where}: expected {n_fields} fields, got {len(f)}")
+            try:
+                rows.append(MetricsRow(
+                    round=int(f[0]), grad_norm=float(f[1]), consensus_error=float(f[2]),
+                    train_loss=float(f[3]), test_accuracy=None if f[4] == "" else float(f[4]),
+                    active_count=int(f[5])))
+            except ValueError:
+                raise ConfigError(f"{where}: malformed field") from None
     return rows
 
 

@@ -301,12 +301,16 @@ class MiniBatcher:
 
 
 # Rows per block of the stacked full-data passes.  A block of 400 makes
-# 400 x 60 x 10 = 240k multiply-adds per product, under the 4 * 65536 from
+# 10 x 60 x 400 = 240k multiply-adds per product, under the 4 * 65536 from
 # which OpenBLAS splits a GEMM across threads.  numpy and scipy each load
 # their own OpenBLAS with its own thread pool, and one product over every
 # row, threaded inside scipy's L-BFGS-B, makes the pools fight: on two
 # cores an L-BFGS solve over 6,000 rows took 16.6 s that way and 1.5 s in
 # blocks.  Threads gained nothing on these passes where they did not fight.
+# The passes are class-major: a block's logits are 10 x 400 and the
+# reductions over the classes run along the leading axis, across 400-long
+# rows.  numpy reduces short rows slowly: the max over the classes of one
+# block took 30 us on 400 x 10 logits and 4.5 us on 10 x 400 (2-core x86-64).
 FULL_PASS_BLOCK = 400
 
 
@@ -316,15 +320,20 @@ def _blocks(n: int):
 
 
 def _stack(features: List[np.ndarray], labels: List[np.ndarray]):
-    """Every client's rows stacked, with per-sample weights 1/(m n_i), so a
-    weighted sum over the rows is the mean over clients of per-client means;
-    then per-client views of the stacked features and labels."""
+    """Every client's rows stacked feature-major, as one C-contiguous
+    60 x n array whose columns are the samples, with per-sample weights
+    1/(m n_i), so a weighted sum over the columns is the mean over clients
+    of per-client means; then per-client n_i x 60 views of the stacked
+    features (transposed, so the rows are held once) and labels."""
     sizes = np.array([len(y) for y in labels])
-    stacked_x, stacked_y = np.concatenate(features), np.concatenate(labels)
+    stacked_x = np.concatenate([f.T for f in features], axis=1,
+                               out=np.empty((N_FEATURES, sizes.sum())))
+    stacked_y = np.concatenate(labels)
     weights = np.repeat(1.0 / (len(sizes) * sizes), sizes)
-    bounds = np.cumsum(sizes)[:-1]
+    ends = np.cumsum(sizes).tolist()
+    spans = list(zip([0] + ends[:-1], ends))
     return ((stacked_x, stacked_y, weights),
-            np.split(stacked_x, bounds), np.split(stacked_y, bounds))
+            [stacked_x[:, a:b].T for a, b in spans], [stacked_y[a:b] for a, b in spans])
 
 
 class SoftmaxObjective:
@@ -359,60 +368,64 @@ class SoftmaxObjective:
 
     def fleet_batch(self, clients: np.ndarray, batchers: List[MiniBatcher]):
         """The round's batches of ``clients`` (at least one, drawn in the
-        order given) stacked into (k, b, 60) features, one-hot labels, and
-        per-sample weights 1/b_i that are 0 on the padding of clients
-        holding fewer than b samples."""
+        order given) stacked into (k, b, 60) features, (k, 10, b) one-hot
+        labels, and per-sample weights 1/b_i that are 0 on the padding of
+        clients holding fewer than b samples."""
         xs, ys = zip(*(self.batch_for(int(i), batchers[i]) for i in clients))
         lengths = np.array([len(y) for y in ys])
         valid = np.arange(lengths.max()) < lengths[:, None]
         features = np.zeros(valid.shape + (N_FEATURES,))
         features[valid] = np.concatenate(xs)
-        onehot = np.zeros(valid.shape + (N_CLASSES,))
-        onehot[valid, np.concatenate(ys)] = 1.0
+        onehot = np.zeros((len(clients), N_CLASSES, valid.shape[1]))
+        client, sample = np.nonzero(valid)
+        onehot[client, np.concatenate(ys), sample] = 1.0
         return features, onehot, valid / lengths[:, None]
 
     def gradient_fleet(self, X: np.ndarray, batch, out=None) -> np.ndarray:
         """Mini-batch gradients of k clients at the columns of the 610 x k
         ``X``, on a batch stacked by ``fleet_batch``: the same sums as
-        ``gradient``, taken in another order."""
+        ``gradient``, taken in another order, on (k, 10, b) logits."""
         features, onehot, weights = batch
         k = X.shape[1]
         n_w = N_CLASSES * N_FEATURES
         weight = X[:n_w].T.reshape(k, N_CLASSES, N_FEATURES)
-        z = np.matmul(features, weight.transpose(0, 2, 1))
-        z += X[n_w:].T[:, None, :]
-        z -= z.max(axis=2, keepdims=True)
+        z = np.matmul(weight, features.transpose(0, 2, 1))
+        z += X[n_w:].T[:, :, None]
+        z -= z.max(axis=1, keepdims=True)
         np.exp(z, out=z)
-        z /= z.sum(axis=2, keepdims=True)
+        z /= z.sum(axis=1, keepdims=True)
         z -= onehot
-        z *= weights[:, :, None]
+        z *= weights[:, None, :]
         if out is None:
             out = np.empty_like(X)
-        out[:n_w] = np.matmul(z.transpose(0, 2, 1), features).reshape(k, n_w).T
-        out[n_w:] = z.sum(axis=1).T
+        out[:n_w] = np.matmul(z, features).reshape(k, n_w).T
+        out[n_w:] = z.sum(axis=2).T
         return out
 
     def loss_and_gradient(self, x: np.ndarray) -> Tuple[float, np.ndarray]:
         """The mean over clients of each client's mean train loss at ``x``,
-        and its gradient, in one pass over the stacked train rows."""
+        and its gradient, in one class-major pass over the stacked train
+        columns."""
         features, labels, weights = self._train
         w, b = _split(np.asarray(x, float))
+        bias = b[:, None]
         loss = 0.0
         grad_w = np.zeros((N_CLASSES, N_FEATURES))
         grad_b = np.zeros(N_CLASSES)
         for rows in _blocks(len(labels)):
-            f, y, wt = features[rows], labels[rows], weights[rows]
-            z = f @ w.T + b
-            z -= z.max(axis=1, keepdims=True)
+            f, y, wt = features[:, rows], labels[rows], weights[rows]
+            z = w @ f
+            z += bias
+            z -= z.max(axis=0)
             delta = np.exp(z)
-            denom = delta.sum(axis=1)
-            picked = np.arange(len(y)), y
+            denom = delta.sum(axis=0)
+            picked = y, np.arange(len(y))
             loss -= wt @ (z[picked] - np.log(denom))
             # Weighted softmax probabilities less the weighted one-hot labels.
-            delta *= (wt / denom)[:, None]
+            delta *= wt / denom
             delta[picked] -= wt
-            grad_w += delta.T @ f
-            grad_b += delta.sum(axis=0)
+            grad_w += delta @ f.T
+            grad_b += delta.sum(axis=1)
         return float(loss), np.concatenate([grad_w.ravel(), grad_b])
 
     def global_gradient(self, x: np.ndarray) -> np.ndarray:
@@ -425,8 +438,10 @@ class SoftmaxObjective:
         """The mean over clients of each client's test accuracy at ``x``."""
         features, labels, weights = self._test
         w, b = _split(np.asarray(x, float))
+        bias = b[:, None]
         accuracy = 0.0
         for rows in _blocks(len(labels)):
-            pred = np.argmax(features[rows] @ w.T + b, axis=1)
-            accuracy += weights[rows] @ (pred == labels[rows])
+            z = w @ features[:, rows]
+            z += bias
+            accuracy += weights[rows] @ (z.argmax(axis=0) == labels[rows])
         return float(accuracy)

@@ -10,6 +10,7 @@ import pytest
 
 from fedsim.cli import main
 from fedsim.config import parse_config, reference_config
+from fedsim.errors import ConfigError
 from fedsim.harness import (FIG3_LINK, config_hash, read_metrics_csv, reproduce_fig2,
                             reproduce_fig3, run_simulation, write_run_outputs)
 from fedsim.objectives import QuadraticObjective, load_dataset_csv
@@ -143,6 +144,23 @@ def test_metrics_schema_is_stable(tmp_path):
         with open(out / "metrics.csv", encoding="utf-8") as fh:
             assert fh.readline().rstrip() == \
                 "round,grad_norm,consensus_error,train_loss,test_accuracy,active_count"
+
+
+@pytest.mark.parametrize("row, message", [
+    ("0,1.0,2.0", "expected 6 fields, got 3"),
+    ("0,1.0,2.0,3.0,,4,5", "expected 6 fields, got 7"),
+    ("", "expected 6 fields, got 1"),
+    ("0,abc,2.0,3.0,0.5,4", "malformed field"),
+    ("0,1.0,2.0,3.0,0.5,4.5", "malformed field"),
+    ("x,1.0,2.0,3.0,,4", "malformed field"),
+])
+def test_read_metrics_csv_rejects_bad_row(tmp_path, row, message):
+    path = tmp_path / "metrics.csv"
+    path.write_text("round,grad_norm,consensus_error,train_loss,test_accuracy,active_count\n"
+                    "0,1.0,2.0,3.0,0.5,4\n" + row + "\n1,1.0,2.0,3.0,0.5,4\n",
+                    encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"metrics line 3: {message}"):
+        read_metrics_csv(path)
 
 
 def test_mixing_cli_reference_values(tmp_path, capsys):

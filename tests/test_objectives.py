@@ -256,6 +256,32 @@ def test_stacked_pass_matches_per_client_means(m, count_mode):
         assert np.array_equal(obj.global_gradient(x), grad)
 
 
+def test_objective_holds_feature_rows_once():
+    ds = generate_synthetic(1.0, 1.0, 12, 250, SeededStream(63).child("data"),
+                            count_mode="lognormal")
+    obj = SoftmaxObjective(ds)
+    for split, stacked in (("train", obj._train[0]), ("test", obj._test[0])):
+        assert stacked.shape == (N_FEATURES, sum(len(getattr(cl, f"{split}_y"))
+                                                 for cl in ds.clients))
+        assert stacked.flags.c_contiguous
+        for mine, theirs in zip(obj.dataset.clients, ds.clients, strict=True):
+            rows = getattr(mine, f"{split}_x")
+            assert np.shares_memory(rows, stacked)
+            assert np.array_equal(rows, getattr(theirs, f"{split}_x"))
+
+
+def test_test_accuracy_ties_go_to_the_first_class():
+    """At x = 0 every logit ties and argmax takes class 0, so the accuracy is
+    the mean over clients of each client's share of test label 0.  Eight
+    test rows per client and eight clients keep every term a dyadic
+    fraction, so any summation order gives the same float."""
+    ds = generate_synthetic(1.0, 1.0, 8, 40, SeededStream(65).child("data"))
+    assert all(len(cl.test_y) == 8 for cl in ds.clients)
+    shares = [np.mean(cl.test_y == 0) for cl in ds.clients]
+    assert 0 < np.mean(shares) != np.mean([np.mean(cl.test_y == 9) for cl in ds.clients])
+    assert SoftmaxObjective(ds).test_accuracy(np.zeros(PARAM_DIM)) == np.mean(shares)
+
+
 def test_softmax_objective_metrics():
     ds = generate_synthetic(1.0, 1.0, 4, 30, SeededStream(31).child("data"))
     obj = SoftmaxObjective(ds)
