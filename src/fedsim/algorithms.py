@@ -12,8 +12,8 @@ round of a link trace and collects the metrics rows.  A round, in order:
    accuracy, and the active count.
 3. The computing clients (all of them, or only the active ones under
    ``local_compute="active_only"``, whose inactive columns stay frozen)
-   draw the round's mini-batches and take s gradient steps together at a
-   fixed step size, through the objective's ``gradient_fleet``.
+   draw the round's mini-batches and take s gradient steps at a fixed
+   step size, all of them in one call of the objective's ``local_steps``.
 4. A finiteness check; a non-finite iterate raises ``DivergedRunError``
    carrying the rows so far, the diverging round's included.
 5. The server averages the clients whose links were up.  FedPBC then
@@ -115,8 +115,9 @@ def run_round(state: FleetState, active: ActiveSet, cfg: AlgorithmConfig,
     The steps of the module docstring, on a copy of ``state.X``.  The
     computing clients draw their batches from ``batchers`` (the
     objective's ``make_batchers``; ``None`` for the quadratic) through
-    ``objective.fleet_batch``.  A ``DivergedRunError`` carries this
-    round's row only.
+    ``objective.fleet_batch``, and ``objective.local_steps`` takes the
+    round's s steps on their columns in place.  A ``DivergedRunError``
+    carries this round's row only.
     """
     m = state.num_clients
     members = list(active.members)
@@ -128,12 +129,8 @@ def run_round(state: FleetState, active: ActiveSet, cfg: AlgorithmConfig,
     if len(clients):
         batch = objective.fleet_batch(clients, batchers)
         local = X if len(clients) == m else X[:, clients]
-        buf = np.empty_like(local)
         with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(cfg.s):
-                objective.gradient_fleet(local, batch, out=buf)
-                buf *= cfg.eta
-                local -= buf
+            objective.local_steps(local, batch, cfg.s, cfg.eta)
         if local is not X:
             X[:, clients] = local
     _check_finite(X, row)

@@ -322,12 +322,12 @@ def oracle_report(p: np.ndarray, targets: Optional[np.ndarray] = None) -> List[d
     records = [{"type": "weights", "method": weights.method,
                 "w": [float(v) for v in weights.w]}]
     if targets is not None:
-        targets = np.asarray(targets, dtype=float)
-        if targets.ndim != 2 or targets.shape[1] != weights.w.size:
+        objective = QuadraticObjective(targets)  # finite, one column per client
+        if objective.num_clients != weights.w.size:
             raise ConfigError(f"need one target per client: {weights.w.size} clients, "
-                              f"{targets.shape[-1]} targets")
-        predicted = weights.limit_point(targets)
-        x_star = targets.mean(axis=1)
+                              f"{objective.num_clients} targets")
+        predicted = weights.limit_point(objective.targets)
+        x_star = objective.global_optimum()
         records.append({
             "type": "limit", "point": [float(v) for v in predicted],
             "distance_to_optimum": float(np.linalg.norm(predicted - x_star)),

@@ -80,6 +80,16 @@ class QuadraticObjective:
         """Gradients of the clients whose targets are the columns of ``batch``."""
         return np.subtract(X, batch, out=out)
 
+    def local_steps(self, X: np.ndarray, batch: np.ndarray, s: int, eta: float) -> None:
+        """``s`` gradient steps of size ``eta``, in place, for the clients
+        whose models are the columns of ``X`` and whose targets are the
+        columns of ``batch``."""
+        buf = np.empty_like(X)
+        for _ in range(s):
+            self.gradient_fleet(X, batch, out=buf)
+            buf *= eta
+            X -= buf
+
     def global_optimum(self) -> np.ndarray:
         """Column mean of the targets, the unique global minimizer (read-only)."""
         return self._optimum
@@ -347,6 +357,8 @@ class SoftmaxObjective:
                                                [cl.train_y for cl in clients])
         self._test, test_x, test_y = _stack([cl.test_x for cl in clients],
                                             [cl.test_y for cl in clients])
+        sizes = [len(y) for y in train_y]
+        self._train_start = np.cumsum([0] + sizes[:-1])
         # The same dataset, its client arrays views of the stacked rows, so
         # that once the caller lets go of the original the rows are held once.
         self.dataset = replace(dataset, clients=[
@@ -367,40 +379,62 @@ class SoftmaxObjective:
         return cl.train_x[idx], cl.train_y[idx]
 
     def fleet_batch(self, clients: np.ndarray, batchers: List[MiniBatcher]):
-        """The round's batches of ``clients`` (at least one, drawn in the
-        order given) stacked into (k, b, 60) features, (k, 10, b) one-hot
-        labels, and per-sample weights 1/b_i that are 0 on the padding of
-        clients holding fewer than b samples."""
-        xs, ys = zip(*(self.batch_for(int(i), batchers[i]) for i in clients))
-        lengths = np.array([len(y) for y in ys])
+        """The round's batches of ``clients`` (at least one), each drawn from
+        the client's own batcher in the order given and gathered at once
+        from the stacked train columns: (60, k, b) features, (k, b) labels,
+        and per-sample weights 1/b_i.  A client holding fewer than b samples
+        is padded with zero-feature columns of weight 0."""
+        lengths = np.array([batchers[i].batch_size for i in clients])
         valid = np.arange(lengths.max()) < lengths[:, None]
-        features = np.zeros(valid.shape + (N_FEATURES,))
-        features[valid] = np.concatenate(xs)
-        onehot = np.zeros((len(clients), N_CLASSES, valid.shape[1]))
-        client, sample = np.nonzero(valid)
-        onehot[client, np.concatenate(ys), sample] = 1.0
-        return features, onehot, valid / lengths[:, None]
+        columns = np.zeros(valid.shape, dtype=np.intp)
+        columns[valid] = np.concatenate([batchers[i].next_indices() for i in clients])
+        columns += self._train_start[clients][:, None]
+        features, labels, _ = self._train
+        batch_x = np.take(features, columns, axis=1)
+        batch_x[:, ~valid] = 0.0
+        return batch_x, labels[columns], valid / lengths[:, None]
 
-    def gradient_fleet(self, X: np.ndarray, batch, out=None) -> np.ndarray:
-        """Mini-batch gradients of k clients at the columns of the 610 x k
-        ``X``, on a batch stacked by ``fleet_batch``: the same sums as
-        ``gradient``, taken in another order, on (k, 10, b) logits."""
-        features, onehot, weights = batch
-        k = X.shape[1]
+    def local_steps(self, X: np.ndarray, batch, s: int, eta: float) -> None:
+        """``s`` mini-batch gradient steps of size ``eta``, in place, for the
+        k clients whose models are the columns of the 610 x k ``X``, on a
+        batch from ``fleet_batch``.
+
+        The batch is fixed for the ``s`` steps, so they are taken in logit
+        space.  With client i's features F (b x 60), a step moves its
+        logits z = W F^T + b 1^T by -eta delta (F F^T + 1), where delta
+        holds the weighted softmax probabilities less the weighted one-hot
+        labels (the gradient is delta F for W and delta 1 for b).  So the
+        round forms z and F F^T + 1 once, carries the logits and the sum of
+        the deltas through the steps, and moves W and b once at the end.
+        The logits are class-leading, (10, k, b), so the max and sum over
+        the classes run along the leading axis.
+        """
+        features, labels, weights = batch
+        k, b = weights.shape
         n_w = N_CLASSES * N_FEATURES
-        weight = X[:n_w].T.reshape(k, N_CLASSES, N_FEATURES)
-        z = np.matmul(weight, features.transpose(0, 2, 1))
-        z += X[n_w:].T[:, :, None]
-        z -= z.max(axis=1, keepdims=True)
-        np.exp(z, out=z)
-        z /= z.sum(axis=1, keepdims=True)
-        z -= onehot
-        z *= weights[:, None, :]
-        if out is None:
-            out = np.empty_like(X)
-        out[:n_w] = np.matmul(z, features).reshape(k, n_w).T
-        out[n_w:] = z.sum(axis=2).T
-        return out
+        rows = features.transpose(1, 2, 0)  # (k, b, 60)
+        cols = features.transpose(1, 0, 2)  # (k, 60, b)
+        gram = np.matmul(rows, cols)
+        gram += 1.0
+        gram *= eta  # eta (F F^T + 1): a step moves the logits by -delta @ gram
+        z = np.empty((N_CLASSES, k, b))
+        np.matmul(X[:n_w].T.reshape(k, N_CLASSES, N_FEATURES), cols,
+                  out=z.transpose(1, 0, 2))
+        z += X[n_w:, :, None]
+        target = np.zeros_like(z)
+        target[labels, np.arange(k)[:, None], np.arange(b)] = weights
+        acc = np.zeros_like(z)
+        for _ in range(s):
+            # A shift per sample leaves its softmax unchanged and keeps exp finite.
+            z -= z.max(axis=0)
+            delta = np.exp(z)
+            delta *= weights / delta.sum(axis=0)
+            delta -= target
+            acc += delta
+            z -= np.matmul(delta.transpose(1, 0, 2), gram).transpose(1, 0, 2)
+        acc *= eta
+        X[:n_w] -= np.matmul(acc.transpose(1, 0, 2), rows).reshape(k, n_w).T
+        X[n_w:] -= acc.sum(axis=2)
 
     def loss_and_gradient(self, x: np.ndarray) -> Tuple[float, np.ndarray]:
         """The mean over clients of each client's mean train loss at ``x``,

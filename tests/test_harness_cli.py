@@ -277,8 +277,8 @@ def test_mixing_cli_rejects_ragged_p_file(tmp_path, capsys):
     assert_cli_error(capsys, ["mixing", "--p-file", str(p_file)])
 
 
-@pytest.mark.parametrize("rows", ["0,0\n1,1\n2,2\n", "0,0\n1\n"],
-                         ids=["row-count", "ragged"])
+@pytest.mark.parametrize("rows", ["0,0\n1,1\n2,2\n", "0,0\n1\n", "nan,1\n2,3\n"],
+                         ids=["row-count", "ragged", "non-finite"])
 def test_oracle_cli_rejects_malformed_targets(tmp_path, capsys, rows):
     u_file = tmp_path / "u.csv"
     u_file.write_text(rows, encoding="utf-8")
@@ -309,8 +309,12 @@ GENDATA = ["gendata", "--alpha", "1", "--beta", "1", "--m", "2", "--samples", "4
     ["mixing", "--p", "0.5,0.5", "--out", "{tmp}/nodir/x.jsonl"],
     GENDATA + ["--seed", "-1", "--out", "{tmp}/g.csv"],
     GENDATA + ["--seed", str(2**64), "--out", "{tmp}/g.csv"],
+    ["simulate", "--config", "{tmp}/not_utf8"],
+    ["mixing", "--p-file", "{tmp}/not_utf8"],
+    ["oracle", "--p", "0.5,0.5", "--u", "{tmp}/not_utf8"],
 ], ids=["missing-config", "gendata-no-dir", "out-through-file", "out-flag-through-file",
-        "mixing-no-dir", "gendata-negative-seed", "gendata-seed-2^64"])
+        "mixing-no-dir", "gendata-negative-seed", "gendata-seed-2^64",
+        "config-not-utf8", "p-file-not-utf8", "targets-not-utf8"])
 def test_cli_file_and_seed_errors(tmp_path, capsys, monkeypatch, argv):
     # Each fails before any round runs: simulate creates its output
     # directory first.  (A read-only directory cannot stand in for the
@@ -320,6 +324,7 @@ def test_cli_file_and_seed_errors(tmp_path, capsys, monkeypatch, argv):
 
     monkeypatch.setattr("fedsim.cli.run_simulation", no_run)
     (tmp_path / "plain").write_text("", encoding="utf-8")
+    (tmp_path / "not_utf8").write_bytes(b"0.5,0.5\n\xff\n")
     write_config(tmp_path, FAST_COUNTEREXAMPLE.format(alg="fedavg", seed=1)
                  + f"out = {tmp_path / 'plain' / 'run'}\n", "through_file.cfg")
     assert_cli_error(capsys, [arg.format(tmp=tmp_path) for arg in argv])

@@ -301,24 +301,48 @@ def test_softmax_descent_reduces_gradient_norm():
     assert np.linalg.norm(obj.global_gradient(x)) < g0
 
 
-def test_softmax_fleet_gradient_matches_per_client_on_ragged_subset():
+def ragged_subset():
+    """A lognormal fleet and two thirds of its clients, some holding fewer
+    train samples than the batch size 48 and some more."""
     ds = generate_synthetic(1.0, 1.0, 30, 250, SeededStream(53).child("data"),
                             count_mode="lognormal")
-    obj = SoftmaxObjective(ds)
-    b = 48
     clients = np.array([i for i in range(30) if i % 3 != 1])
-    short = [i for i in clients if len(ds.clients[i].train_y) < b]
+    short = [i for i in clients if len(ds.clients[i].train_y) < 48]
     assert short and len(short) < len(clients)
-    X = np.random.default_rng(53).normal(scale=0.5, size=(PARAM_DIM, len(clients)))
-    batch = obj.fleet_batch(clients, obj.make_batchers(b, SeededStream(54).child("b")))
-    fleet = obj.gradient_fleet(X, batch)
+    return SoftmaxObjective(ds), clients, 48
+
+
+def test_softmax_fleet_batch_is_the_per_client_draws_on_ragged_subset():
+    obj, clients, b = ragged_subset()
+    features, labels, weights = obj.fleet_batch(
+        clients, obj.make_batchers(b, SeededStream(54).child("b")))
+    assert features.shape == (N_FEATURES, len(clients), b)
+    assert labels.shape == weights.shape == (len(clients), b)
     batchers = obj.make_batchers(b, SeededStream(54).child("b"))
     for j, i in enumerate(clients):
-        ref = obj.gradient(int(i), X[:, j], obj.batch_for(int(i), batchers[i]))
-        assert np.max(np.abs(fleet[:, j] - ref)) <= 1e-13
-    out = np.full_like(X, np.nan)
-    assert obj.gradient_fleet(X, batch, out=out) is out
-    assert np.array_equal(out, fleet)
+        ref_x, ref_y = obj.batch_for(int(i), batchers[i])
+        n = len(ref_y)
+        assert np.array_equal(features[:, j, :n], ref_x.T)
+        assert np.array_equal(labels[j, :n], ref_y)
+        assert np.all(weights[j, :n] == 1.0 / n)
+        assert np.all(features[:, j, n:] == 0.0) and np.all(weights[j, n:] == 0.0)
+
+
+def test_softmax_local_steps_match_per_client_steps_on_ragged_subset():
+    obj, clients, b = ragged_subset()
+    s, eta = 5, 0.05
+    X0 = np.random.default_rng(53).normal(scale=0.5, size=(PARAM_DIM, len(clients)))
+    X = X0.copy()
+    obj.local_steps(X, obj.fleet_batch(clients, obj.make_batchers(
+        b, SeededStream(54).child("b"))), s, eta)
+    batchers = obj.make_batchers(b, SeededStream(54).child("b"))
+    for j, i in enumerate(clients):
+        batch = obj.batch_for(int(i), batchers[i])
+        x = X0[:, j]
+        for _ in range(s):
+            x = x - eta * obj.gradient(int(i), x, batch)
+        assert np.max(np.abs(X[:, j] - x)) <= 1e-13
+        assert np.max(np.abs(X[:, j] - X0[:, j])) > 1e-3  # the steps move each client
 
 
 def test_minibatcher_epochs_without_replacement():
