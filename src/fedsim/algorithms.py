@@ -146,21 +146,17 @@ def matrix_form_check(state_before: FleetState, active: ActiveSet,
     """Largest entry-wise deviation of one FedPBC round from X' = (X - eta G) W.
 
     G's columns are the per-client sums of the s per-step gradients on the
-    round's ``batch`` and W is the gossip matrix of the realized active
-    set.  Requires local_compute="all" (otherwise the identity does not
-    describe the frozen columns).
+    round's ``batch`` (from ``objective.fleet_batch``), so X - eta G is X
+    after the objective's ``local_steps``, and W is the gossip matrix of
+    the realized active set.  Requires local_compute="all" (otherwise the
+    identity does not describe the frozen columns).
     """
     if cfg.variant != "fedpbc" or cfg.local_compute != "all":
         raise ConfigError("matrix-form identity applies to fedpbc with local_compute='all'")
     X = state_before.X.copy()
-    G = np.zeros_like(X)
-    for _ in range(cfg.s):
-        g = objective.gradient_fleet(X, batch)
-        G += g
-        X = X - cfg.eta * g
+    objective.local_steps(X, batch, cfg.s, cfg.eta)
     W = build_mixing(active, state_before.num_clients)
-    predicted = (state_before.X - cfg.eta * G) @ W
-    return float(np.max(np.abs(predicted - state_after.X)))
+    return float(np.max(np.abs(X @ W - state_after.X)))
 
 
 @dataclass

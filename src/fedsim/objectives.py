@@ -381,60 +381,58 @@ class SoftmaxObjective:
     def fleet_batch(self, clients: np.ndarray, batchers: List[MiniBatcher]):
         """The round's batches of ``clients`` (at least one), each drawn from
         the client's own batcher in the order given and gathered at once
-        from the stacked train columns: (60, k, b) features, (k, b) labels,
+        from the stacked train columns: (k, 61, b) features, each client's
+        60 x b batch over a row of ones (the bias's feature), (k, b) labels,
         and per-sample weights 1/b_i.  A client holding fewer than b samples
-        is padded with zero-feature columns of weight 0."""
+        is padded with all-zero columns of weight 0."""
         lengths = np.array([batchers[i].batch_size for i in clients])
         valid = np.arange(lengths.max()) < lengths[:, None]
         columns = np.zeros(valid.shape, dtype=np.intp)
         columns[valid] = np.concatenate([batchers[i].next_indices() for i in clients])
         columns += self._train_start[clients][:, None]
         features, labels, _ = self._train
-        batch_x = np.take(features, columns, axis=1)
-        batch_x[:, ~valid] = 0.0
+        batch_x = np.empty((len(clients), N_FEATURES + 1, valid.shape[1]))
+        np.multiply(np.take(features, columns, axis=1).transpose(1, 0, 2),
+                    valid[:, None, :], out=batch_x[:, :N_FEATURES])
+        batch_x[:, N_FEATURES] = valid
         return batch_x, labels[columns], valid / lengths[:, None]
 
     def local_steps(self, X: np.ndarray, batch, s: int, eta: float) -> None:
         """``s`` mini-batch gradient steps of size ``eta``, in place, for the
         k clients whose models are the columns of the 610 x k ``X``, on a
-        batch from ``fleet_batch``.
+        batch from ``fleet_batch``: the same sums as ``gradient``, taken in
+        another order.
 
-        The batch is fixed for the ``s`` steps, so they are taken in logit
-        space.  With client i's features F (b x 60), a step moves its
-        logits z = W F^T + b 1^T by -eta delta (F F^T + 1), where delta
-        holds the weighted softmax probabilities less the weighted one-hot
-        labels (the gradient is delta F for W and delta 1 for b).  So the
-        round forms z and F F^T + 1 once, carries the logits and the sum of
-        the deltas through the steps, and moves W and b once at the end.
-        The logits are class-leading, (10, k, b), so the max and sum over
-        the classes run along the leading axis.
+        The steps run on a (k, 10, 61) copy of the models, each class's
+        weights beside its bias, so that one product with the batch's
+        features (ones row included) gives the logits and one gives the
+        gradient.  The logits are class-leading, (10, k, b), so the max and
+        sum over the classes run along the leading axis.
         """
         features, labels, weights = batch
         k, b = weights.shape
         n_w = N_CLASSES * N_FEATURES
-        rows = features.transpose(1, 2, 0)  # (k, b, 60)
-        cols = features.transpose(1, 0, 2)  # (k, 60, b)
-        gram = np.matmul(rows, cols)
-        gram += 1.0
-        gram *= eta  # eta (F F^T + 1): a step moves the logits by -delta @ gram
-        z = np.empty((N_CLASSES, k, b))
-        np.matmul(X[:n_w].T.reshape(k, N_CLASSES, N_FEATURES), cols,
-                  out=z.transpose(1, 0, 2))
-        z += X[n_w:, :, None]
-        target = np.zeros_like(z)
+        model = np.empty((k, N_CLASSES, N_FEATURES + 1))
+        model[:, :, :N_FEATURES] = X[:n_w].T.reshape(k, N_CLASSES, N_FEATURES)
+        model[:, :, N_FEATURES] = X[n_w:].T
+        target = np.zeros((N_CLASSES, k, b))
         target[labels, np.arange(k)[:, None], np.arange(b)] = weights
-        acc = np.zeros_like(z)
+        z = np.empty((N_CLASSES, k, b))
+        z_by_client = z.transpose(1, 0, 2)
+        step = np.empty_like(model)
         for _ in range(s):
+            np.matmul(model, features, out=z_by_client)
             # A shift per sample leaves its softmax unchanged and keeps exp finite.
             z -= z.max(axis=0)
-            delta = np.exp(z)
-            delta *= weights / delta.sum(axis=0)
-            delta -= target
-            acc += delta
-            z -= np.matmul(delta.transpose(1, 0, 2), gram).transpose(1, 0, 2)
-        acc *= eta
-        X[:n_w] -= np.matmul(acc.transpose(1, 0, 2), rows).reshape(k, n_w).T
-        X[n_w:] -= acc.sum(axis=2)
+            np.exp(z, out=z)
+            # Weighted softmax probabilities less the weighted one-hot labels.
+            z *= weights / z.sum(axis=0)
+            z -= target
+            z *= eta
+            np.matmul(z_by_client, features.transpose(0, 2, 1), out=step)
+            model -= step
+        X[:n_w] = model[:, :, :N_FEATURES].reshape(k, n_w).T
+        X[n_w:] = model[:, :, N_FEATURES].T
 
     def loss_and_gradient(self, x: np.ndarray) -> Tuple[float, np.ndarray]:
         """The mean over clients of each client's mean train loss at ``x``,

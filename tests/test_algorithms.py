@@ -148,6 +148,22 @@ def test_matrix_form_identity_random_rounds():
         state = nxt
 
 
+def test_matrix_form_identity_softmax_round():
+    ds = generate_synthetic(1.0, 1.0, 6, 60, SeededStream(71).child("data"),
+                            count_mode="lognormal")
+    obj = SoftmaxObjective(ds)
+    cfg = AlgorithmConfig("fedpbc", s=3, eta=0.05)
+    rng = np.random.default_rng(71)
+    state = FleetState(X=rng.normal(scale=0.3, size=(obj.dim, 6)),
+                       global_model=np.zeros(obj.dim), round=0)
+    active = ActiveSet(0, (1, 2, 4))
+    nxt, _ = run_round(state, active, cfg, obj,
+                       obj.make_batchers(16, SeededStream(72).child("b")))
+    batch = obj.fleet_batch(np.arange(6), obj.make_batchers(16, SeededStream(72).child("b")))
+    assert matrix_form_check(state, active, cfg, obj, nxt, batch) <= 1e-12
+    assert np.max(np.abs(nxt.X - state.X)) > 1e-3
+
+
 def test_matrix_form_check_requires_fedpbc_all():
     obj = two_client_objective()
     cfg = AlgorithmConfig("fedavg", s=1, eta=0.1)

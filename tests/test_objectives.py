@@ -316,16 +316,17 @@ def test_softmax_fleet_batch_is_the_per_client_draws_on_ragged_subset():
     obj, clients, b = ragged_subset()
     features, labels, weights = obj.fleet_batch(
         clients, obj.make_batchers(b, SeededStream(54).child("b")))
-    assert features.shape == (N_FEATURES, len(clients), b)
+    assert features.shape == (len(clients), N_FEATURES + 1, b)
     assert labels.shape == weights.shape == (len(clients), b)
     batchers = obj.make_batchers(b, SeededStream(54).child("b"))
     for j, i in enumerate(clients):
         ref_x, ref_y = obj.batch_for(int(i), batchers[i])
         n = len(ref_y)
-        assert np.array_equal(features[:, j, :n], ref_x.T)
+        assert np.array_equal(features[j, :N_FEATURES, :n], ref_x.T)
+        assert np.all(features[j, N_FEATURES, :n] == 1.0)
         assert np.array_equal(labels[j, :n], ref_y)
         assert np.all(weights[j, :n] == 1.0 / n)
-        assert np.all(features[:, j, n:] == 0.0) and np.all(weights[j, n:] == 0.0)
+        assert np.all(features[j, :, n:] == 0.0) and np.all(weights[j, n:] == 0.0)
 
 
 def test_softmax_local_steps_match_per_client_steps_on_ragged_subset():
