@@ -13,7 +13,8 @@ round of a link trace and collects the metrics rows.  A round, in order:
 3. The computing clients (all of them, or only the active ones under
    ``local_compute="active_only"``, whose inactive columns stay frozen)
    draw the round's mini-batches and take s gradient steps at a fixed
-   step size, all of them in one call of the objective's ``local_steps``.
+   step size, all of them in one call of the objective's ``local_steps``
+   (on the quadratic, the closed form of the s steps: one affine map).
 4. A finiteness check; a non-finite iterate raises ``DivergedRunError``
    carrying the rows so far, the diverging round's included.
 5. The server averages the clients whose links were up.  FedPBC then
@@ -52,8 +53,8 @@ class AlgorithmConfig:
                               f"got {self.local_compute!r}")
         if self.s < 1:
             raise ConfigError("key 's' must be >= 1")
-        if not (self.eta > 0):
-            raise ConfigError("key 'eta' must be > 0")
+        if not (0 < self.eta < np.inf):
+            raise ConfigError("key 'eta' must be finite and > 0")
 
 
 @dataclass

@@ -2,8 +2,8 @@
 
 Subcommands: simulate, reproduce-fig2, reproduce-fig3, mixing, oracle,
 gendata.  All file output is UTF-8 with reals at 17 significant digits.
-Invalid input and file-system errors end in one ``error:`` line and exit
-code 1.
+Invalid input, file-system errors and a refused allocation end in one
+``error:`` line and exit code 1.
 The FEDSIM_SEED environment variable overrides the config seed for
 ``simulate`` (recorded in the manifest).
 """
@@ -155,6 +155,11 @@ def main(argv=None) -> int:
             return 0
     except (FedsimError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 1
+    except MemoryError as err:
+        # A refused allocation (say, a Zipf table or a dataset sized past
+        # the host) leaves the process usable enough to say so.
+        print(f"error: out of memory: {str(err) or 'allocation refused'}", file=sys.stderr)
         return 1
     raise AssertionError("unreachable")  # pragma: no cover
 

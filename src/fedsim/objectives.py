@@ -17,6 +17,7 @@ Two families:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
@@ -83,12 +84,23 @@ class QuadraticObjective:
     def local_steps(self, X: np.ndarray, batch: np.ndarray, s: int, eta: float) -> None:
         """``s`` gradient steps of size ``eta``, in place, for the clients
         whose models are the columns of ``X`` and whose targets are the
-        columns of ``batch``."""
-        buf = np.empty_like(X)
-        for _ in range(s):
-            self.gradient_fleet(X, batch, out=buf)
-            buf *= eta
-            X -= buf
+        columns of ``batch``.
+
+        A step is ``x -> x - eta (x - u)``, so the ``s`` steps are the one
+        affine map ``x -> u + a (x - u)`` with ``a = (1 - eta)^s``: three
+        in-place ops on ``X`` whatever ``s`` is.  The results differ from
+        the stepwise loop by rounding only.  ``a`` is a numpy power, so an
+        overflow gives ``inf`` (under the caller's ``errstate``), not
+        ``OverflowError``; a client exactly at its target then stays there,
+        as it would step by step, and any other client turns non-finite.
+        """
+        a = np.float64(1.0 - eta) ** s
+        X -= batch
+        if math.isfinite(a):
+            X *= a
+        else:
+            np.multiply(X, a, out=X, where=X != 0)  # 0 * inf would be nan
+        X += batch
 
     def global_optimum(self) -> np.ndarray:
         """Column mean of the targets, the unique global minimizer (read-only)."""

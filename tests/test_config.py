@@ -52,6 +52,8 @@ def test_out_of_range_values_name_key():
         parse_config(MINIMAL_COUNTEREXAMPLE + "T = 0\n")
     with pytest.raises(ConfigError, match="'eta'"):
         parse_config(MINIMAL_COUNTEREXAMPLE + "eta = -1\n")
+    with pytest.raises(ConfigError, match="'eta'"):
+        parse_config(MINIMAL_COUNTEREXAMPLE + "eta = inf\n")
     with pytest.raises(ConfigError, match="integer"):
         parse_config(MINIMAL_COUNTEREXAMPLE + "m = abc\n")
     # The dataset generator's own rules, checked before any run starts.

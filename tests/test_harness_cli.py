@@ -330,6 +330,25 @@ def test_cli_file_and_seed_errors(tmp_path, capsys, monkeypatch, argv):
     assert_cli_error(capsys, [arg.format(tmp=tmp_path) for arg in argv])
 
 
+@pytest.mark.parametrize("target, argv", [
+    ("run_simulation", ["simulate", "--config", "{tmp}/run.cfg", "--out", "{tmp}/run"]),
+    ("generate_synthetic", GENDATA + ["--seed", "1", "--out", "{tmp}/g.csv"]),
+], ids=["simulate", "gendata"])
+def test_cli_out_of_memory_is_an_error_line(tmp_path, capsys, monkeypatch, target, argv):
+    # A huge Zipf table, samples_per_client or --samples ends in a refused
+    # allocation.  It is raised here, not provoked: a host that overcommits
+    # memory may kill the process instead of refusing it.
+    write_config(tmp_path, FAST_COUNTEREXAMPLE.format(alg="fedavg", seed=1), "run.cfg")
+    numpy_message = "Unable to allocate 7.28 TiB for an array with shape (10**12,)"
+    for message, shown in [(numpy_message, numpy_message), ("", "allocation refused")]:
+        def refuse(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(f"fedsim.cli.{target}", refuse)
+        err = assert_cli_error(capsys, [arg.format(tmp=tmp_path) for arg in argv])
+        assert err == f"error: out of memory: {shown}\n"
+
+
 def test_gendata_cli_roundtrip(tmp_path):
     out = tmp_path / "data.csv"
     assert main(["gendata", "--alpha", "1", "--beta", "1", "--m", "3",

@@ -1,15 +1,18 @@
 """Property tests for invariants that example tests pin only at a few
-points: the gossip matrix of any active set, FedPBC on an empty round, and
+points: the gossip matrix of any active set, FedPBC on an empty round, the
+quadratic's closed-form local steps against the step-by-step loop, and
 exact round trips of the trace and dataset files."""
 
 import os
 import tempfile
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedsim.algorithms import AlgorithmConfig, FleetState, run_round
+from fedsim.errors import DivergedRunError
 from fedsim.link_model import ActiveSet, TraceRound, read_trace_csv, write_trace_csv
 from fedsim.mixing import build_mixing
 from fedsim.objectives import (N_CLASSES, N_FEATURES, ClientData, FederatedDataset,
@@ -52,11 +55,11 @@ def test_fedpbc_empty_round_moves_each_column_by_its_own_steps(d, m, s, eta, see
     nxt, _ = run_round(state, empty, AlgorithmConfig("fedpbc", s=s, eta=eta), obj, None)
     assert np.array_equal(nxt.global_model, state.global_model)
     assert nxt.round == 4
+    # Each column moves by its own steps, and no multicast touches it.
     for i in range(m):
-        x = state.X[:, i].copy()
-        for _ in range(s):
-            x = x - (x - obj.targets[:, i]) * eta
-        assert np.array_equal(nxt.X[:, i], x)
+        x = state.X[:, i:i + 1].copy()
+        obj.local_steps(x, obj.targets[:, i:i + 1], s, eta)
+        assert np.array_equal(nxt.X[:, i], x[:, 0])
 
     # Under active_only no client computes, so nothing moves at all.
     frozen, _ = run_round(state, empty, AlgorithmConfig("fedpbc", s=s, eta=eta,
@@ -64,6 +67,83 @@ def test_fedpbc_empty_round_moves_each_column_by_its_own_steps(d, m, s, eta, see
                           obj, None)
     assert np.array_equal(frozen.X, state.X)
     assert np.array_equal(frozen.global_model, state.global_model)
+
+
+magnitudes = st.floats(-1e6, 1e6, allow_subnormal=False)
+
+
+@PROPERTIES
+@given(st.integers(1, 4), st.integers(1, 300),
+       st.one_of(st.floats(1e-6, 1.0), st.floats(1.0, 2.0, exclude_min=True, exclude_max=True)),
+       st.data())
+@example(d=2, s=7, eta=1.5, data=None)
+@example(d=3, s=300, eta=1.999, data=None)
+def test_quad_local_steps_match_the_literal_loop(d, s, eta, data):
+    if data is None:
+        x0, u = np.linspace(-3.0, 5.0, d), np.linspace(7.0, -1.0, d)
+    else:
+        x0 = np.array(data.draw(st.lists(magnitudes, min_size=d, max_size=d)))
+        u = np.array(data.draw(st.lists(magnitudes, min_size=d, max_size=d)))
+    X = x0[:, None].copy()
+    QuadraticObjective(u[:, None]).local_steps(X, u[:, None], s, eta)
+
+    x = x0.copy()
+    for _ in range(s):
+        x = x - (x - u) * eta
+    # For eta in (0, 2) a step contracts x - u, so no step amplifies an
+    # earlier rounding error.  Each step of the loop rounds three times and
+    # adds at most 3 eps (|x0| + |u|); the closed form rounds 1 - eta and
+    # the power (at most (s + 1) eps relative in a, so (s + 1) eps
+    # (|x0| + |u|) in a (x0 - u)) and its three ops.  That is under
+    # 4 (s + 1) eps (|x0| + |u|) in all.  Results among the subnormals
+    # round absolutely instead, by at most one smallest subnormal an op.
+    tiny = np.finfo(float).smallest_subnormal
+    bound = 4 * (s + 1) * (np.finfo(float).eps * (np.abs(x0) + np.abs(u)) + tiny)
+    assert np.all(np.abs(X[:, 0] - x) <= bound)
+
+
+class _Counted(np.ndarray):
+    """An array that counts the numpy ufunc calls that take it in or out."""
+
+    calls = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        _Counted.calls += 1
+        plain = [a.view(np.ndarray) if isinstance(a, _Counted) else a for a in inputs]
+        if out is not None:
+            kwargs["out"] = tuple(o.view(np.ndarray) for o in out)
+        result = getattr(ufunc, method)(*plain, **kwargs)
+        return out[0] if out is not None else result
+
+
+@pytest.mark.parametrize("eta", [0.5, 3.0])  # at s = 2000, a underflows to 0 or overflows
+@pytest.mark.parametrize("s", [1, 2000])
+def test_quad_local_steps_make_at_most_four_numpy_calls(s, eta):
+    obj = QuadraticObjective(np.array([[1.0, -2.0, 3.0]]))
+    X = np.array([[1.0, 1.0, -4.0]]).view(_Counted)
+    _Counted.calls = 0
+    with np.errstate(over="ignore"):
+        obj.local_steps(X, obj.targets, s, eta)
+    assert _Counted.calls <= 4
+    assert X[0, 0] == 1.0  # at its target
+
+
+@pytest.mark.parametrize("s", [1100, 1101])
+def test_quad_local_steps_past_overflow(s):
+    # (1 - 3)^1100 is past the largest double: Python's float power raises
+    # OverflowError there, numpy's gives +-inf.
+    targets = np.array([[1.0, 2.0, 3.0], [-1.0, 0.0, 5.0]])
+    obj = QuadraticObjective(targets)
+    cfg = AlgorithmConfig("fedpbc", s=s, eta=3.0)
+    at_target = FleetState(X=targets.copy(), global_model=np.zeros(2), round=0)
+    nxt, _ = run_round(at_target, ActiveSet(0, ()), cfg, obj, None)
+    assert np.array_equal(nxt.X, targets)
+
+    off_target = FleetState(X=targets.copy(), global_model=np.zeros(2), round=0)
+    off_target.X[1, 2] = np.nextafter(5.0, 6.0)
+    with pytest.raises(DivergedRunError) as err:
+        run_round(off_target, ActiveSet(0, (0, 1, 2)), cfg, obj, None)
+    assert err.value.client == 2
 
 
 @st.composite
