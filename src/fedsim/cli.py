@@ -1,7 +1,10 @@
 """Command-line interface.
 
 Subcommands: simulate, reproduce-fig2, reproduce-fig3, mixing, oracle,
-gendata.  All file output is UTF-8 with reals at 17 significant digits.
+gendata.  All file output is UTF-8.  CSV files write reals at 17
+significant digits; JSON files (``manifest.json``, ``summary.json``) and
+the ``mixing``/``oracle`` JSON lines write Python's shortest round-trip
+repr (``0.875``, ``0.5000000000000001``).  Both forms are lossless.
 Invalid input, file-system errors and a refused allocation end in one
 ``error:`` line and exit code 1.
 The FEDSIM_SEED environment variable overrides the config seed for
@@ -11,6 +14,7 @@ The FEDSIM_SEED environment variable overrides the config seed for
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -71,8 +75,33 @@ def _load_targets(path: str) -> np.ndarray:
     return np.array(_read_rows(path, "target")).T
 
 
+def _matrix_json(rows) -> str:
+    """``json.dumps(rows)`` for a non-empty list of equal-length float lists,
+    formatting each distinct float64 bit pattern once.  An ``E[W^2]`` is
+    symmetric and clients with equal ``p`` share their entries, so a Zipf
+    round at m=60 has a handful of distinct values among 3,600."""
+    M = np.asarray(rows, dtype=np.float64)
+    # Bits, not values: 0.0 and -0.0 are equal but spelled apart.
+    distinct, index = np.unique(M.view(np.int64), return_inverse=True)
+    # One dumps of the distinct values keeps json's spelling of NaN and Infinity.
+    texts = np.array(json.dumps(distinct.view(np.float64).tolist())[1:-1].split(", "),
+                     dtype=object)
+    cells = texts[index.reshape(M.shape)].tolist()
+    return "[[" + "], [".join(map(", ".join, cells)) + "]]"
+
+
+def _json_line(rec: dict) -> str:
+    """``json.dumps(rec)``, byte for byte, with the matrix at ``entries``
+    written by ``_matrix_json``."""
+    if "entries" not in rec:
+        return json.dumps(rec)
+    return "{" + ", ".join(
+        f"{json.dumps(key)}: {_matrix_json(value) if key == 'entries' else json.dumps(value)}"
+        for key, value in rec.items()) + "}"
+
+
 def _emit_json_lines(records, out_path: str | None) -> None:
-    text = "\n".join(json.dumps(rec) for rec in records) + "\n"
+    text = "\n".join(_json_line(rec) for rec in records) + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -80,7 +109,11 @@ def _emit_json_lines(records, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; each ``parse_args`` returns a
+    fresh ``Namespace``, so no state carries from one ``main`` call to the
+    next."""
     parser = argparse.ArgumentParser(prog="fedsim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -132,11 +132,18 @@ def _manifest(cfg: ExperimentConfig, seed_source: str, rows: int, completed: boo
 
 
 def run_simulation(cfg: ExperimentConfig, *, seed_source: str = "config",
+                   objective=None,
                    trace: Optional[Sequence[TraceRound]] = None,
                    trace_sha: Optional[str] = None) -> RunOutput:
-    """Execute one configured run; on divergence, keep the partial rows."""
+    """Execute one configured run; on divergence, keep the partial rows.
+
+    ``objective`` defaults to ``build_objective(cfg, SeededStream(cfg.seed))``;
+    a grid that runs several variants of one experiment and seed builds it
+    once and passes it in, as it does the shared trace.
+    """
     root = SeededStream(cfg.seed)
-    objective = build_objective(cfg, root)
+    if objective is None:
+        objective = build_objective(cfg, root)
     process = make_link_process(cfg.link, cfg.m)
     algo = cfg.algorithm_config()
     started = time.monotonic()
@@ -214,7 +221,7 @@ def reproduce_fig2(scale: float, out_dir, seed: int = 1234) -> dict:
         for variant in VARIANTS:
             for mode in LOCAL_COMPUTE_MODES:
                 cfg = replace(base, algorithm=variant, local_compute=mode, link=link)
-                out = run_simulation(cfg, trace=trace, trace_sha=sha)
+                out = run_simulation(cfg, objective=objective, trace=trace, trace_sha=sha)
                 name = f"{tag}_{variant}_{mode}"
                 write_run_outputs(out_dir, out, name=name)
                 summary.append({
@@ -244,22 +251,23 @@ def reproduce_fig2(scale: float, out_dir, seed: int = 1234) -> dict:
 def reproduce_fig3(scale: float, out_dir, seed: int = 1234) -> dict:
     """Softmax-regression comparison under the time-varying Zipf schedule.
 
-    Samples one shared link trace and runs both algorithms on it, each
-    through ``run_simulation``, which generates the heterogeneous dataset
-    from the seed for its own run; writes a summary of the final train
-    loss and test accuracy of each.
+    Generates the heterogeneous dataset and samples one shared link trace
+    once, runs both algorithms on them through ``run_simulation``, and
+    writes a summary of the final train loss and test accuracy of each.
     """
     base = reference_config("synthetic", VARIANTS[0], FIG3_LINK, seed,
                             scale=scale, out=str(out_dir))
     os.makedirs(out_dir, exist_ok=True)
     root = SeededStream(seed)
+    objective = build_objective(base, root)
     trace = build_trace(make_link_process(base.link, base.m), base.T, root.child("trace"))
     trace_path = os.path.join(out_dir, "trace.csv")
     sha = write_trace_csv(trace_path, trace)
 
     finals = {}
     for variant in VARIANTS:
-        out = run_simulation(replace(base, algorithm=variant), trace=trace, trace_sha=sha)
+        out = run_simulation(replace(base, algorithm=variant), objective=objective,
+                             trace=trace, trace_sha=sha)
         write_run_outputs(out_dir, out, name=variant)
         last = out.rows[-1]
         finals[variant] = {"train_loss": last.train_loss,
@@ -283,6 +291,9 @@ def reproduce_fig3(scale: float, out_dir, seed: int = 1234) -> dict:
 def mixing_report(p_rounds: Sequence[np.ndarray]) -> List[dict]:
     """Per-round spectral diagnostics plus a summary with the running max.
 
+    Each round record's ``entries`` is ``E[W^2]`` as a list of row lists of
+    floats (``M.tolist()``); ``fedsim mixing`` writes it through
+    ``cli._emit_json_lines``, which formats each distinct entry once.
     The product of per-round rho values is reported as an optional tighter
     diagnostic only; the certified quantity is the maximum against the
     activation-floor bound.
@@ -302,7 +313,7 @@ def mixing_report(p_rounds: Sequence[np.ndarray]) -> List[dict]:
         rho_prod *= r
         records.append({
             "type": "round", "round": t, "m": int(p.size), "floor": c,
-            "entries": [[float(v) for v in row] for row in M],
+            "entries": M.tolist(),
             "rho": r, "ergodicity_bound": bound,
             "rho_within_bound": bool(r <= bound),
             "entry_lower_bound": lower,

@@ -10,7 +10,7 @@ and E[1/(2+S)] picks up one extra factor of s.  The integrands are
 polynomials of degree at most m, so Gauss–Legendre quadrature with
 ``m//2 + 2`` nodes integrates them exactly up to rounding (Golub & Welsch,
 Math. Comp. 23, 1969).  Three operations live here (plus ``format_real``,
-the one real-number format of every output file):
+the real-number format of every CSV file and of the canonical config text):
 
 * ``bernoulli_quadrature`` — the kernel.  For a probability vector it
   returns the nodes and weights on [0, 1], the full product
@@ -45,8 +45,9 @@ _NEWTON_STEPS = 2
 
 
 def format_real(x: float) -> str:
-    """A real as every output file writes it: 17 significant digits, which
-    round-trip any float64."""
+    """A real as every CSV file and the canonical config text write it: 17
+    significant digits, which round-trip any float64 (JSON output uses
+    Python's shortest repr)."""
     return f"{x:.17g}"
 
 

@@ -8,12 +8,13 @@ from itertools import product
 import numpy as np
 import pytest
 
-from fedsim.cli import main
+from fedsim.cli import build_parser, main
 from fedsim.config import parse_config, reference_config
 from fedsim.errors import ConfigError
 from fedsim.harness import (FIG3_LINK, config_hash, read_metrics_csv, reproduce_fig2,
                             reproduce_fig3, run_simulation, write_run_outputs)
-from fedsim.objectives import QuadraticObjective, load_dataset_csv
+from fedsim.link_model import read_trace_csv
+from fedsim.objectives import QuadraticObjective, generate_synthetic, load_dataset_csv
 
 FAST_COUNTEREXAMPLE = """
 experiment = counterexample
@@ -205,6 +206,30 @@ def test_oracle_cli_uniform_weights(capsys):
     assert records[0]["w"] == pytest.approx([1 / 3] * 3, abs=1e-12)
 
 
+def test_main_calls_in_one_process_are_fresh_calls(tmp_path, capsys):
+    """The parser is built once per process; no argument of one call
+    carries into the next."""
+    assert build_parser() is build_parser()
+    out = tmp_path / "mixing.jsonl"
+    assert main(["mixing", "--p", "0.5,0.5", "--out", str(out)]) == 0
+    written = out.read_text(encoding="utf-8")
+    assert capsys.readouterr().out == ""
+    assert main(["mixing", "--p", "0.5,0.25"]) == 0
+    assert out.read_text(encoding="utf-8") == written
+    round_rec = json.loads(capsys.readouterr().out.splitlines()[0])
+    assert round_rec["entries"][0][1] != json.loads(written.splitlines()[0])["entries"][0][1]
+    assert main(["oracle", "--p", "1,0.5"]) == 0
+    assert json.loads(capsys.readouterr().out)["w"] == pytest.approx([0.75, 0.25], abs=1e-12)
+    with pytest.raises(SystemExit) as exc:
+        main(["mixing", "--p", "0.5", "--no-such-option"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    again = tmp_path / "again.jsonl"
+    assert main(["mixing", "--p", "0.5,0.5", "--out", str(again)]) == 0
+    assert again.read_text(encoding="utf-8") == written
+    assert capsys.readouterr().out == ""
+
+
 def assert_cli_error(capsys, argv):
     """The command exits 1 with an ``error:`` line and no traceback."""
     assert main(argv) == 1
@@ -389,8 +414,12 @@ def test_reproduce_fig2_smoke(tmp_path):
             base, algorithm=alg, local_compute=mode, link="halves:0.5,0.1")
 
 
-def test_reproduce_fig3_smoke(tmp_path):
+def test_reproduce_fig3_smoke(tmp_path, monkeypatch):
+    generated = []
+    monkeypatch.setattr("fedsim.harness.generate_synthetic",
+                        lambda *args: generated.append(args) or generate_synthetic(*args))
     summary = reproduce_fig3(0.1, tmp_path / "fig3", seed=5)
+    assert len(generated) == 1  # one dataset, shared by both runs
     assert math.isfinite(summary["fedavg"]["train_loss"])
     assert math.isfinite(summary["fedpbc"]["train_loss"])
     assert (tmp_path / "fig3" / "fedavg_metrics.csv").exists()
@@ -406,3 +435,9 @@ def test_reproduce_fig3_smoke(tmp_path):
     for alg in ("fedavg", "fedpbc"):
         manifest = manifest_without_walltime(tmp_path / "fig3" / f"{alg}_manifest.json")
         assert parse_config(manifest["config_text"]) == replace(base, algorithm=alg)
+    # The shared dataset is the one a lone run generates from the seed.
+    alone = run_simulation(replace(base, algorithm="fedpbc"),
+                           trace=read_trace_csv(tmp_path / "fig3" / "trace.csv"))
+    write_run_outputs(tmp_path / "alone", alone, name="fedpbc")
+    assert filecmp.cmp(tmp_path / "alone" / "fedpbc_metrics.csv",
+                       tmp_path / "fig3" / "fedpbc_metrics.csv", shallow=False)

@@ -1,9 +1,12 @@
 """Property tests for invariants that example tests pin only at a few
 points: the gossip matrix of any active set, FedPBC on an empty round, the
-quadratic's closed-form local steps against the step-by-step loop, and
-exact round trips of the trace and dataset files."""
+quadratic's closed-form local steps against the step-by-step loop, exact
+round trips of the trace and dataset files, and the JSON-lines writer
+against ``json.dumps``."""
 
+import json
 import os
+import struct
 import tempfile
 
 import numpy as np
@@ -12,11 +15,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedsim.algorithms import AlgorithmConfig, FleetState, run_round
+from fedsim.cli import _emit_json_lines
+from fedsim.config import make_link_process
 from fedsim.errors import DivergedRunError
-from fedsim.link_model import ActiveSet, TraceRound, read_trace_csv, write_trace_csv
+from fedsim.harness import mixing_report
+from fedsim.link_model import (ActiveSet, TraceRound, build_trace, read_trace_csv,
+                               write_trace_csv)
 from fedsim.mixing import build_mixing
 from fedsim.objectives import (N_CLASSES, N_FEATURES, ClientData, FederatedDataset,
                                QuadraticObjective, load_dataset_csv, save_dataset_csv)
+from fedsim.streams import SeededStream
 
 PROPERTIES = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -205,3 +213,71 @@ def test_dataset_csv_round_trips_exactly(dataset):
         for field in ("train_x", "train_y", "test_x", "test_y"):
             assert np.array_equal(getattr(loaded, field), getattr(orig, field))
             assert getattr(loaded, field).dtype == getattr(orig, field).dtype
+
+
+def bits_to_float(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+# Values whose text or identity a careless writer would get wrong: both
+# signed zeros (equal, spelled apart), NaNs with other sign and payload
+# bits, both infinities, and the smallest subnormals.
+AWKWARD_FLOATS = (0.0, -0.0, float("nan"), bits_to_float(0xFFF8000000000001),
+                  bits_to_float(0x7FF0000000000123), float("inf"), float("-inf"),
+                  5e-324, -5e-324, 2.2250738585072009e-308, 0.1, 0.5000000000000001)
+
+
+@st.composite
+def float_matrices(draw):
+    """Square matrices drawn from a small pool, so that values repeat."""
+    m = draw(st.integers(1, 7))
+    pool = draw(st.lists(st.sampled_from(AWKWARD_FLOATS) | st.floats(width=64),
+                         min_size=1, max_size=5))
+    return [[draw(st.sampled_from(pool)) for _ in range(m)] for _ in range(m)]
+
+
+json_scalars = (st.none() | st.booleans() | st.integers(-2**70, 2**70)
+                | st.floats(width=64) | st.text(max_size=5))
+
+
+@st.composite
+def json_records(draw):
+    """A dict of JSON values; with ``entries`` at any key position, or none."""
+    fields = draw(st.dictionaries(st.text(max_size=6).filter(lambda k: k != "entries"),
+                                  json_scalars | st.lists(json_scalars, max_size=3),
+                                  max_size=4))
+    items = list(fields.items())
+    if draw(st.booleans()):
+        items.insert(draw(st.integers(0, len(items))), ("entries", draw(float_matrices())))
+    return dict(items)
+
+
+def assert_writes_json_dumps(records):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "out.jsonl")
+        _emit_json_lines(records, path)
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            written = fh.read()
+    assert written == "\n".join(json.dumps(r) for r in records) + "\n"
+
+
+@PROPERTIES
+@example([{"entries": [[-0.0]]}, {"entries": [[0.0, -0.0], [-0.0, 0.0]], "m": 2}])
+@given(st.lists(json_records(), min_size=1, max_size=3))
+def test_json_lines_are_json_dumps(records):
+    assert_writes_json_dumps(records)
+
+
+def near_uniform_p(m=60):
+    return 0.3 * (1.0 + 0.01 * np.arange(m) / (m - 1))
+
+
+def zipf_floor_p(m=60):
+    """One round of the clipped Zipf schedule: most clients sit at the floor."""
+    process = make_link_process("zipf:3,20000,0.05", m)
+    return build_trace(process, 1, SeededStream(3).child("links"))[0].p
+
+
+@pytest.mark.parametrize("make_p", [zipf_floor_p, near_uniform_p])
+def test_mixing_report_json_lines_are_json_dumps(make_p):
+    assert_writes_json_dumps(mixing_report([make_p()]))
