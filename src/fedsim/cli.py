@@ -190,7 +190,7 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except MemoryError as err:
-        # A refused allocation (say, a Zipf table or a dataset sized past
+        # A refused allocation (say, a Zipf draw count or a dataset sized past
         # the host) leaves the process usable enough to say so.
         print(f"error: out of memory: {str(err) or 'allocation refused'}", file=sys.stderr)
         return 1

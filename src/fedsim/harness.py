@@ -333,14 +333,21 @@ def oracle_report(p: np.ndarray, targets: Optional[np.ndarray] = None) -> List[d
     records = [{"type": "weights", "method": weights.method,
                 "w": [float(v) for v in weights.w]}]
     if targets is not None:
-        objective = QuadraticObjective(targets)  # finite, one column per client
-        if objective.num_clients != weights.w.size:
-            raise ConfigError(f"need one target per client: {weights.w.size} clients, "
-                              f"{objective.num_clients} targets")
-        predicted = weights.limit_point(objective.targets)
-        x_star = objective.global_optimum()
+        # Finite targets near 1e308 can still overflow the sums below.  A
+        # non-finite optimum or limit point makes the distance non-finite too.
+        with np.errstate(over="ignore", invalid="ignore"):
+            objective = QuadraticObjective(targets)  # finite, one column per client
+            if objective.num_clients != weights.w.size:
+                raise ConfigError(f"need one target per client: {weights.w.size} clients, "
+                                  f"{objective.num_clients} targets")
+            predicted = weights.limit_point(objective.targets)
+            x_star = objective.global_optimum()
+            distance = float(np.linalg.norm(predicted - x_star))
+        if not np.isfinite(distance):
+            raise ConfigError("targets too large: the optimum, the limit point or their "
+                              "distance overflows float64")
         records.append({
             "type": "limit", "point": [float(v) for v in predicted],
-            "distance_to_optimum": float(np.linalg.norm(predicted - x_star)),
+            "distance_to_optimum": distance,
         })
     return records

@@ -4,9 +4,10 @@ A link process emits, for each round t, the vector of probabilities that
 each client's uplink to the server is usable that round.  Two variants
 are supported: a static per-client vector and a time-varying heavy-tailed
 schedule in which each round draws ``n`` ranks from a Zipf distribution,
-counts how many landed on each client's rank, normalizes the counts over
-the clients, and clips the result into ``[floor, 1]`` (no re-normalization
-afterwards, so the entries need not sum to anything in particular).
+counts how many landed on each client's rank (ranks above ``m`` are drawn
+and dropped), normalizes the counts over the clients, and clips the result
+into ``[floor, 1]`` (no re-normalization afterwards, so the entries need
+not sum to anything in particular).
 """
 
 from __future__ import annotations
@@ -14,30 +15,20 @@ from __future__ import annotations
 import csv
 import functools
 import hashlib
-import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
-from scipy.special import zeta
 
 from .errors import ConfigError
 from .numerics import format_real, validate_probabilities
 from .streams import SeededStream
-
-# The Zipf inverse CDF is truncated once the remaining tail mass drops
-# below this; the truncation error is far below statistical noise.
-ZIPF_TAIL_MASS = 1e-12
-# Cap on the materialized CDF table (float64 entries).  Exponents whose
-# 1e-12-cutoff support exceeds this are rejected up front.
-ZIPF_MAX_TABLE = 8_388_608
 
 
 @dataclass(frozen=True)
 class ActiveSet:
     """Clients whose links were up in one round; ids strictly increasing."""
 
-    round: int
     members: Tuple[int, ...]
 
     def __post_init__(self):
@@ -58,45 +49,14 @@ class ActiveSet:
         return len(self.members)
 
 
-@functools.lru_cache(maxsize=4)
-def _zipf_cdf(a: float) -> np.ndarray:
-    """The read-only cumulative table of Zipf(a), built once per exponent."""
-    z = float(zeta(a, 1))
-    # Tail bound: sum_{k>K} k^-a <= K^(1-a) / (a-1).
-    support = ((a - 1.0) * z * ZIPF_TAIL_MASS) ** (-1.0 / (a - 1.0))
-    support = int(math.ceil(support))
-    if support > ZIPF_MAX_TABLE:
-        raise ConfigError(
-            f"zipf exponent {a} needs a {support}-entry inverse-CDF table to reach "
-            f"tail mass {ZIPF_TAIL_MASS}; the cap is {ZIPF_MAX_TABLE}. "
-            "Use a larger exponent.")
-    k = np.arange(1, support + 1, dtype=float)
-    cdf = np.cumsum(k ** -a / z)
+@functools.lru_cache(maxsize=8)
+def _zipf_cdf(a: float, m: int) -> np.ndarray:
+    """The read-only table ``P(Z <= k)``, k = 1..m, of Zipf(a), built once
+    per ``(a, m)``; only the fleet's ranks are tabulated."""
+    from scipy.special import zeta  # only a zipf link pays for the import
+    cdf = np.cumsum(np.arange(1, m + 1, dtype=float) ** -a / float(zeta(a, 1)))
     cdf.flags.writeable = False
     return cdf
-
-
-class ZipfSampler:
-    """Inverse-CDF sampler for P(Z=k) = k^-a / zeta(a), k >= 1.
-
-    The cumulative table covers all ranks up to the point where the
-    remaining mass is below ``ZIPF_TAIL_MASS``; draws landing beyond it
-    (probability < 1e-12) are clamped to the last tabulated rank.  Samplers
-    of one exponent share one read-only table.
-    """
-
-    def __init__(self, a: float):
-        if not (a > 1.0):
-            raise ConfigError(f"zipf exponent must be > 1 (got {a}); the series diverges")
-        self.a = float(a)
-        self.cdf = _zipf_cdf(self.a)
-        self.support = self.cdf.size
-
-    def sample(self, gen: np.random.Generator, size: int) -> np.ndarray:
-        u = gen.random(size)
-        idx = np.searchsorted(self.cdf, u, side="right")
-        np.minimum(idx, self.support - 1, out=idx)
-        return idx + 1
 
 
 class StaticLinkProcess:
@@ -114,11 +74,14 @@ class StaticLinkProcess:
 class ZipfCountLinkProcess:
     """Heavy-tailed, time-varying activation probabilities.
 
-    Each round draws ``n`` i.i.d. Zipf(a) ranks, sets the raw weight of
-    client i to the number of draws equal to rank i+1, normalizes by the
-    total weight over the m clients, and clips entry-wise into
-    ``[floor, 1]``.  Rounds use distinct stream paths, so the vectors at
-    distinct rounds are independent.
+    Each round draws ``n`` i.i.d. Zipf(a) ranks, ``P(Z=k) = k^-a / zeta(a)``,
+    by inverse CDF over ranks ``1..m``; a draw past ``P(Z <= m)`` is a rank
+    above ``m`` and is dropped.  The raw weight of client i is the number of
+    draws equal to rank i+1, normalized by the total weight over the m
+    clients (all zeros if no draw landed in the fleet), then clipped
+    entry-wise into ``[floor, 1]``.  Requires ``a > 1`` (NaN rejected),
+    ``n >= 1`` and ``floor`` in (0, 1).  Rounds use distinct stream paths,
+    so the vectors at distinct rounds are independent.
     """
 
     def __init__(self, a: float, n: int, floor: float, m: int):
@@ -128,7 +91,8 @@ class ZipfCountLinkProcess:
             raise ConfigError("zipf sample count must be >= 1")
         if not (0.0 < floor < 1.0):
             raise ConfigError("floor must lie in (0, 1)")
-        self.sampler = ZipfSampler(a)
+        if not (a > 1.0):
+            raise ConfigError(f"zipf exponent must be > 1 (got {a}); the series diverges")
         self.a = float(a)
         self.n = int(n)
         self.floor = float(floor)
@@ -138,8 +102,9 @@ class ZipfCountLinkProcess:
         if t < 0:
             raise ConfigError("round index must be >= 0")
         gen = stream.child("p", t).generator()
-        ranks = self.sampler.sample(gen, self.n)
-        counts = np.bincount(ranks, minlength=self.m + 1)[1:self.m + 1].astype(float)
+        # Index k < m is rank k+1; index m is any rank beyond the fleet.
+        ranks = np.searchsorted(_zipf_cdf(self.a, self.m), gen.random(self.n), side="right")
+        counts = np.bincount(ranks, minlength=self.m + 1)[:self.m].astype(float)
         total = counts.sum()
         raw = counts / total if total > 0 else np.zeros(self.m)
         return np.clip(raw, self.floor, 1.0)
@@ -156,7 +121,7 @@ def sample_active_set(p: np.ndarray, t: int, stream: SeededStream) -> ActiveSet:
     gen = stream.child("bern", t).generator()
     draws = gen.random(p.size)
     members = tuple(int(i) for i in np.nonzero(draws < p)[0])
-    return ActiveSet(round=t, members=members)
+    return ActiveSet(members)
 
 
 @dataclass(frozen=True)
@@ -244,5 +209,5 @@ def read_trace_csv(path) -> List[TraceRound]:
         except ConfigError as err:
             raise ConfigError(f"trace round {t}: {err}") from None
         members = tuple(i for i in range(m) if clients[i][1])
-        trace.append(TraceRound(round=t, p=p, active=ActiveSet(round=t, members=members)))
+        trace.append(TraceRound(round=t, p=p, active=ActiveSet(members)))
     return trace

@@ -200,7 +200,7 @@ def test_c07_ergodicity_suite():
                 brute = np.zeros((m, m))
                 for bits in product((0, 1), repeat=m):
                     prob = np.prod([q if b else 1.0 - q for q, b in zip(p, bits)])
-                    W = build_mixing(ActiveSet(0, tuple(i for i, b in enumerate(bits) if b)), m)
+                    W = build_mixing(ActiveSet(tuple(i for i, b in enumerate(bits) if b)), m)
                     brute += prob * (W @ W)
                 assert np.max(np.abs(M - brute)) <= 1e-12
             trials = 100_000

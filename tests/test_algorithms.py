@@ -22,7 +22,7 @@ def test_local_steps_reference_values():
     for x0, s, eta, expected in [(0.0, 1, 0.5, 1.0), (0.0, 2, 0.5, 1.5), (2.0, 5, 0.5, 2.0)]:
         for variant in ("fedavg", "fedpbc"):
             cfg = AlgorithmConfig(variant, s=s, eta=eta)
-            nxt, _ = run_round(FleetState.initial(np.array([x0]), 1), ActiveSet(0, (0,)),
+            nxt, _ = run_round(FleetState.initial(np.array([x0]), 1), ActiveSet((0,)),
                                cfg, obj, None)
             assert nxt.X[0, 0] == pytest.approx(expected)
             assert nxt.global_model == pytest.approx([expected])
@@ -33,7 +33,7 @@ def test_local_steps_divergence_detection():
     cfg = AlgorithmConfig("fedavg", s=400, eta=3.0)
     state = FleetState.initial(np.array([1e300]), 1)
     with pytest.raises(DivergedRunError) as err:
-        run_round(state, ActiveSet(0, (0,)), cfg, obj, None)
+        run_round(state, ActiveSet((0,)), cfg, obj, None)
     assert err.value.client == 0
 
 
@@ -41,7 +41,7 @@ def test_fedavg_round_all_active():
     obj = two_client_objective()
     cfg = AlgorithmConfig("fedavg", s=1, eta=0.5)
     state = FleetState.initial(np.zeros(1), 2)
-    nxt, _ = run_round(state, ActiveSet(0, (0, 1)), cfg, obj, None)
+    nxt, _ = run_round(state, ActiveSet((0, 1)), cfg, obj, None)
     assert nxt.global_model == pytest.approx([0.5])
     assert nxt.X[0].tolist() == [0.0, 1.0]  # columns keep local results
     assert nxt.round == 1
@@ -51,7 +51,7 @@ def test_fedavg_round_empty_active_set():
     obj = two_client_objective()
     cfg = AlgorithmConfig("fedavg", s=1, eta=0.5)
     state = FleetState.initial(np.array([1.0]), 2)
-    nxt, _ = run_round(state, ActiveSet(0, ()), cfg, obj, None)
+    nxt, _ = run_round(state, ActiveSet(()), cfg, obj, None)
     assert nxt.global_model == pytest.approx([1.0])  # unchanged
     # with local_compute=all every column still advances
     assert nxt.X[0] == pytest.approx([0.5, 1.5])
@@ -61,7 +61,7 @@ def test_fedavg_active_only_freezes_inactive():
     obj = two_client_objective()
     cfg = AlgorithmConfig("fedavg", s=1, eta=0.5, local_compute="active_only")
     state = FleetState.initial(np.array([1.0]), 2)
-    nxt, _ = run_round(state, ActiveSet(0, (1,)), cfg, obj, None)
+    nxt, _ = run_round(state, ActiveSet((1,)), cfg, obj, None)
     assert nxt.X[0, 0] == 1.0          # frozen
     assert nxt.X[0, 1] == pytest.approx(1.5)
     assert nxt.global_model == pytest.approx([1.5])
@@ -71,7 +71,7 @@ def test_fedpbc_round_single_active_client():
     obj = two_client_objective()
     cfg = AlgorithmConfig("fedpbc", s=1, eta=0.5)
     state = FleetState.initial(np.zeros(1), 2)
-    nxt, _ = run_round(state, ActiveSet(0, (1,)), cfg, obj, None)
+    nxt, _ = run_round(state, ActiveSet((1,)), cfg, obj, None)
     # client 1 stepped 0 -> 1; |A| = 1 so the global adopts it and the
     # multicast overwrites client 1's column; client 0 keeps its result.
     assert nxt.global_model == pytest.approx([1.0])
@@ -82,7 +82,7 @@ def test_fedpbc_round_empty_active_set():
     obj = two_client_objective()
     cfg = AlgorithmConfig("fedpbc", s=1, eta=0.5)
     state = FleetState.initial(np.array([1.0]), 2)
-    nxt, _ = run_round(state, ActiveSet(0, ()), cfg, obj, None)
+    nxt, _ = run_round(state, ActiveSet(()), cfg, obj, None)
     assert nxt.global_model == pytest.approx([1.0])
     assert nxt.X[0] == pytest.approx([0.5, 1.5])
 
@@ -120,7 +120,7 @@ def test_fedpbc_conserves_global_on_empty_rounds():
     cfg = AlgorithmConfig("fedpbc", s=2, eta=0.1)
     state = FleetState.initial(np.array([0.7]), 2)
     for t in range(5):
-        state, _ = run_round(state, ActiveSet(t, ()), cfg, obj, None)
+        state, _ = run_round(state, ActiveSet(()), cfg, obj, None)
     assert state.global_model == pytest.approx([0.7])
 
 
@@ -130,7 +130,7 @@ def test_matrix_form_identity_trivial_cases():
     cfg = AlgorithmConfig("fedpbc", s=3, eta=0.05)
     state = FleetState.initial(np.zeros(3), 4)
     for members in [(0, 1, 2, 3), ()]:
-        active = ActiveSet(0, members)
+        active = ActiveSet(members)
         nxt, _ = run_round(state, active, cfg, obj, None)
         assert matrix_form_check(state, active, cfg, obj, nxt, obj.targets) <= 1e-10
 
@@ -156,7 +156,7 @@ def test_matrix_form_identity_softmax_round():
     rng = np.random.default_rng(71)
     state = FleetState(X=rng.normal(scale=0.3, size=(obj.dim, 6)),
                        global_model=np.zeros(obj.dim), round=0)
-    active = ActiveSet(0, (1, 2, 4))
+    active = ActiveSet((1, 2, 4))
     nxt, _ = run_round(state, active, cfg, obj,
                        obj.make_batchers(16, SeededStream(72).child("b")))
     batch = obj.fleet_batch(np.arange(6), obj.make_batchers(16, SeededStream(72).child("b")))
@@ -169,7 +169,7 @@ def test_matrix_form_check_requires_fedpbc_all():
     cfg = AlgorithmConfig("fedavg", s=1, eta=0.1)
     state = FleetState.initial(np.zeros(1), 2)
     with pytest.raises(ConfigError):
-        matrix_form_check(state, ActiveSet(0, ()), cfg, obj, state, obj.targets)
+        matrix_form_check(state, ActiveSet(()), cfg, obj, state, obj.targets)
 
 
 def test_uniform_rate_fedavg_converges_to_optimum():

@@ -2,19 +2,23 @@ import filecmp
 import json
 import math
 import os
+import subprocess
+import sys
 from dataclasses import replace
 from itertools import product
 
 import numpy as np
 import pytest
 
+import fedsim
 from fedsim.cli import build_parser, main
-from fedsim.config import parse_config, reference_config
+from fedsim.config import make_link_process, parse_config, reference_config
 from fedsim.errors import ConfigError
 from fedsim.harness import (FIG3_LINK, config_hash, read_metrics_csv, reproduce_fig2,
                             reproduce_fig3, run_simulation, write_run_outputs)
-from fedsim.link_model import read_trace_csv
+from fedsim.link_model import build_trace, read_trace_csv
 from fedsim.objectives import QuadraticObjective, generate_synthetic, load_dataset_csv
+from fedsim.streams import SeededStream
 
 FAST_COUNTEREXAMPLE = """
 experiment = counterexample
@@ -258,6 +262,67 @@ def test_simulate_rejects_nan_link_probability(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("a", ["1.01", "1.5", "2.6"])
+def test_simulate_runs_small_zipf_exponents(tmp_path, a):
+    cfg_path = write_config(tmp_path, FAST_SYNTHETIC.replace("zipf:3,", f"zipf:{a},"))
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 0
+    # The p rounds that run drew, rebuilt on its link stream.
+    trace = build_trace(make_link_process(f"zipf:{a},2000,0.1", 4), 12,
+                        SeededStream(5).child("sim", "links"))
+    rows = read_metrics_csv(tmp_path / "run" / "metrics.csv")
+    assert [r.active_count for r in rows] == [len(r.active) for r in trace]
+    for row in trace:
+        assert np.all(row.p >= 0.1) and np.all(row.p <= 1.0)
+
+
+@pytest.mark.parametrize("a", ["1", "0.5", "nan"])
+def test_simulate_rejects_zipf_exponent_at_most_one(tmp_path, capsys, a):
+    cfg_path = write_config(tmp_path, FAST_SYNTHETIC.replace("zipf:3,", f"zipf:{a},"))
+    assert_cli_error(capsys, ["simulate", "--config", str(cfg_path),
+                              "--out", str(tmp_path / "run")])
+    assert not (tmp_path / "run").exists()
+
+
+def run_python(code):
+    """Run ``code`` in a fresh interpreter on this package's source tree."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fedsim.__file__)))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+def test_only_a_zipf_link_imports_scipy_special(tmp_path):
+    counterexample = write_config(tmp_path, FAST_COUNTEREXAMPLE.format(alg="fedavg", seed=1),
+                                  "halves.cfg")
+    synthetic = write_config(tmp_path, FAST_SYNTHETIC, "zipf.cfg")
+    cases = {
+        "": False,
+        "main(['mixing', '--p', '0.5,0.5'])": False,
+        f"main(['simulate', '--config', {str(counterexample)!r}, "
+        f"'--out', {str(tmp_path / 'halves')!r}])": False,
+        f"main(['simulate', '--config', {str(synthetic)!r}, "
+        f"'--out', {str(tmp_path / 'zipf')!r}])": True,
+    }
+    for call, loaded in cases.items():
+        proc = run_python("import sys\nfrom fedsim.cli import main\n"
+                          f"assert {call or 0} == 0\n"
+                          "print('scipy.special' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == str(loaded), call
+
+
+@pytest.mark.parametrize("rows", ["1e308,1e308\n-1e308,1e308\n", "1.7e308\n1.7e308\n"],
+                         ids=["limit-distance", "optimum"])
+def test_oracle_overflowing_targets_are_an_error_line(tmp_path, rows):
+    u_file = tmp_path / "u.csv"
+    u_file.write_text(rows, encoding="utf-8")
+    proc = run_python("import sys\nfrom fedsim.cli import main\n"
+                      f"sys.exit(main(['oracle', '--p', '0.9,0.1', '--u', {str(u_file)!r}]))")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
+
+
 def test_simulate_rejects_seed_outside_64_bits(tmp_path, capsys):
     cfg_path = write_config(tmp_path, FAST_COUNTEREXAMPLE.format(alg="fedavg", seed=2**64))
     assert_cli_error(capsys, ["simulate", "--config", str(cfg_path),
@@ -360,7 +425,7 @@ def test_cli_file_and_seed_errors(tmp_path, capsys, monkeypatch, argv):
     ("generate_synthetic", GENDATA + ["--seed", "1", "--out", "{tmp}/g.csv"]),
 ], ids=["simulate", "gendata"])
 def test_cli_out_of_memory_is_an_error_line(tmp_path, capsys, monkeypatch, target, argv):
-    # A huge Zipf table, samples_per_client or --samples ends in a refused
+    # A huge Zipf draw count, samples_per_client or --samples ends in a refused
     # allocation.  It is raised here, not provoked: a host that overcommits
     # memory may kill the process instead of refusing it.
     write_config(tmp_path, FAST_COUNTEREXAMPLE.format(alg="fedavg", seed=1), "run.cfg")

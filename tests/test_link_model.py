@@ -1,12 +1,14 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
+from scipy.special import zeta
 
 from fedsim.errors import ConfigError
-from fedsim.link_model import (ActiveSet, StaticLinkProcess, ZipfCountLinkProcess,
-                               ZipfSampler, build_trace, probabilities_at,
-                               read_trace_csv, sample_active_set, write_trace_csv)
+from fedsim.link_model import (ActiveSet, StaticLinkProcess, ZipfCountLinkProcess, _zipf_cdf,
+                               build_trace, probabilities_at, read_trace_csv,
+                               sample_active_set, write_trace_csv)
 from fedsim.streams import SeededStream
 
 
@@ -22,43 +24,65 @@ def test_static_process_returns_fixed_vector():
     assert np.array_equal(p, np.ones(3))
 
 
+def full_table_zipf_counts(a: float, n: int, m: int, gen: np.random.Generator) -> np.ndarray:
+    """Per-rank counts of ranks 1..m among n Zipf(a) draws, from an
+    inverse-CDF table reaching a 1e-12 tail mass (draws past it clamp to
+    its last rank).  This is an independent oracle for the m-rank table."""
+    z = float(zeta(a, 1))
+    support = math.ceil(((a - 1.0) * z * 1e-12) ** (-1.0 / (a - 1.0)))
+    cdf = np.cumsum(np.arange(1, support + 1, dtype=float) ** -a / z)
+    ranks = np.minimum(np.searchsorted(cdf, gen.random(n), side="right"), support - 1) + 1
+    return np.bincount(ranks, minlength=m + 1)[1:m + 1]
+
+
+@pytest.mark.parametrize("a", [3.0, 5.0, 10.0, 40.0])
+@pytest.mark.parametrize("m", [1, 2, 30, 150])
+def test_zipf_counts_match_the_full_table_oracle(a, m):
+    # floor below 1/n, so clipping lifts only zero counts and p fixes the counts.
+    n, floor = 5000, 1e-9
+    proc = ZipfCountLinkProcess(a=a, n=n, floor=floor, m=m)
+    stream = SeededStream(41).child("links")
+    for t in range(4):
+        counts = full_table_zipf_counts(a, n, m, stream.child("p", t).generator())
+        total = counts.sum()
+        expected = np.clip(counts / total if total > 0 else np.zeros(m), floor, 1.0)
+        assert np.array_equal(proc.probabilities_at(t, stream), expected)
+
+
 def test_zipf_rank_one_probability_matches_zeta():
     z3 = zeta_partial_sum(3.0)
     assert z3 == pytest.approx(1.2020569, abs=1e-6)
-    from scipy.special import zeta as scipy_zeta
-    assert z3 == pytest.approx(float(scipy_zeta(3.0, 1)), abs=1e-12)
+    assert z3 == pytest.approx(float(zeta(3.0, 1)), abs=1e-12)
     assert 1.0 / z3 == pytest.approx(0.831907, abs=1e-5)
-    sampler = ZipfSampler(3.0)
-    gen = SeededStream(11).child("zipf").generator()
-    draws = sampler.sample(gen, 1_000_000)
-    frac1 = np.mean(draws == 1)
-    frac2 = np.mean(draws == 2)
-    assert frac1 == pytest.approx(1.0 / z3, abs=2e-3)
-    assert frac2 == pytest.approx(2.0 ** -3 / z3, abs=2e-3)
-    assert draws.min() >= 1
+    n, m = 1_000_000, 1000
+    for a in (3.0, 1.5):
+        z = float(zeta(a, 1))
+        p = ZipfCountLinkProcess(a=a, n=n, floor=1e-9, m=m).probabilities_at(
+            0, SeededStream(11).child("zipf"))
+        # p is normalised over the draws that land in the fleet, P(Z <= m) of them.
+        in_fleet = float(np.sum(np.arange(1, m + 1, dtype=float) ** -a)) / z
+        assert p[0] * in_fleet == pytest.approx(1.0 / z, abs=2e-3)
+        assert p[1] * in_fleet == pytest.approx(2.0 ** -a / z, abs=2e-3)
 
 
 def test_zipf_single_draw_and_exponent_validation():
-    assert ZipfSampler(3.0).sample(SeededStream(5).child("one").generator(), 1)[0] >= 1
-    with pytest.raises(ConfigError):
-        ZipfSampler(1.0)
-    with pytest.raises(ConfigError):
-        ZipfSampler(0.5)
-
-
-def test_zipf_small_exponent_table_capacity_rejected():
-    # The 1e-12 tail cutoff would need an astronomically large table.
-    with pytest.raises(ConfigError):
-        ZipfSampler(1.5)
+    p = ZipfCountLinkProcess(a=3.0, n=1, floor=0.1, m=3).probabilities_at(
+        0, SeededStream(5).child("one"))
+    assert sorted(p.tolist()) in ([0.1, 0.1, 0.1], [0.1, 0.1, 1.0])
+    for a in (1.0, 0.5, float("nan")):
+        with pytest.raises(ConfigError, match="exponent"):
+            ZipfCountLinkProcess(a=a, n=10, floor=0.1, m=3)
 
 
 def test_zipf_count_process_respects_floor_and_cap():
-    proc = ZipfCountLinkProcess(a=3.0, n=20000, floor=0.1, m=150)
-    stream = SeededStream(21).child("links")
-    for t in (0, 3, 11):
-        p = proc.probabilities_at(t, stream)
-        assert p.shape == (150,)
-        assert np.all(p >= 0.1) and np.all(p <= 1.0)
+    # Exponents near 1 put most draws above rank m; they are dropped.
+    for a in (3.0, 2.6, 1.5, 1.01, 1.0 + 1e-12):
+        proc = ZipfCountLinkProcess(a=a, n=20000, floor=0.1, m=150)
+        stream = SeededStream(21).child("links")
+        for t in (0, 3, 11):
+            p = proc.probabilities_at(t, stream)
+            assert p.shape == (150,)
+            assert np.all(p >= 0.1) and np.all(p <= 1.0)
 
 
 def test_zipf_count_rounds_are_independent():
@@ -118,10 +142,10 @@ def test_activation_frequency_matches_probabilities():
 
 def test_active_set_validation():
     with pytest.raises(ValueError):
-        ActiveSet(0, (2, 1))
+        ActiveSet((2, 1))
     with pytest.raises(ValueError):
-        ActiveSet(0, (1, 1))
-    assert len(ActiveSet(0, ())) == 0
+        ActiveSet((1, 1))
+    assert len(ActiveSet(())) == 0
 
 
 def test_trace_roundtrip(tmp_path):
@@ -184,8 +208,15 @@ def test_trace_rejects_malformed_fields(tmp_path):
 def test_zipf_processes_share_one_read_only_table():
     from fedsim.config import make_link_process
     first = make_link_process("zipf:3,20000,0.1", 30)
-    second = make_link_process("zipf:3,500,0.2", 150)
-    assert first.sampler.cdf is second.sampler.cdf
-    assert not first.sampler.cdf.flags.writeable
+    second = make_link_process("zipf:3,500,0.2", 30)
+    stream = SeededStream(2).child("links")
+    first.probabilities_at(0, stream)
+    second.probabilities_at(0, stream)
+    table = _zipf_cdf(3.0, 30)
+    assert table.shape == (30,)
+    assert _zipf_cdf(first.a, first.m) is table is _zipf_cdf(second.a, second.m)
+    assert not table.flags.writeable
     with pytest.raises(ValueError):
-        first.sampler.cdf[0] = 0.0
+        table[0] = 0.0
+    # A shorter fleet's table is a bitwise prefix of a longer one's.
+    assert np.array_equal(_zipf_cdf(3.0, 150)[:30], table)

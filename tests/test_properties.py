@@ -35,7 +35,7 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 def active_sets(draw, max_m=40):
     m = draw(st.integers(1, max_m))
     members = draw(st.lists(st.integers(0, m - 1), unique=True))
-    return m, ActiveSet(0, tuple(sorted(members)))
+    return m, ActiveSet(tuple(sorted(members)))
 
 
 @PROPERTIES
@@ -58,7 +58,7 @@ def test_fedpbc_empty_round_moves_each_column_by_its_own_steps(d, m, s, eta, see
     rng = np.random.default_rng(seed)
     obj = QuadraticObjective(rng.normal(size=(d, m)))
     state = FleetState(X=rng.normal(size=(d, m)), global_model=rng.normal(size=d), round=3)
-    empty = ActiveSet(3, ())
+    empty = ActiveSet(())
 
     nxt, _ = run_round(state, empty, AlgorithmConfig("fedpbc", s=s, eta=eta), obj, None)
     assert np.array_equal(nxt.global_model, state.global_model)
@@ -144,13 +144,13 @@ def test_quad_local_steps_past_overflow(s):
     obj = QuadraticObjective(targets)
     cfg = AlgorithmConfig("fedpbc", s=s, eta=3.0)
     at_target = FleetState(X=targets.copy(), global_model=np.zeros(2), round=0)
-    nxt, _ = run_round(at_target, ActiveSet(0, ()), cfg, obj, None)
+    nxt, _ = run_round(at_target, ActiveSet(()), cfg, obj, None)
     assert np.array_equal(nxt.X, targets)
 
     off_target = FleetState(X=targets.copy(), global_model=np.zeros(2), round=0)
     off_target.X[1, 2] = np.nextafter(5.0, 6.0)
     with pytest.raises(DivergedRunError) as err:
-        run_round(off_target, ActiveSet(0, (0, 1, 2)), cfg, obj, None)
+        run_round(off_target, ActiveSet((0, 1, 2)), cfg, obj, None)
     assert err.value.client == 2
 
 
@@ -163,7 +163,7 @@ def traces(draw):
         p = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=m, max_size=m))
         up = draw(st.lists(st.booleans(), min_size=m, max_size=m))
         members = tuple(i for i in range(m) if up[i])
-        rounds.append(TraceRound(round=t, p=np.array(p), active=ActiveSet(t, members)))
+        rounds.append(TraceRound(round=t, p=np.array(p), active=ActiveSet(members)))
     return rounds
 
 
