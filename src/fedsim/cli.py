@@ -25,6 +25,7 @@ from .config import check_seed, parse_config
 from .errors import FedsimError
 from .harness import (mixing_report, oracle_report, reproduce_fig2, reproduce_fig3,
                       resolve_seed_override, run_simulation, write_run_outputs)
+from .numerics import read_text
 from .objectives import generate_synthetic, save_dataset_csv
 from .streams import SeededStream
 
@@ -36,19 +37,10 @@ def _parse_floats(text: str, where: str) -> np.ndarray:
         raise FedsimError(f"{where}: expected comma-separated numbers, got {text!r}") from None
 
 
-def _read_text(path: str) -> str:
-    """The text of a UTF-8 input file; any other bytes are malformed input."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except UnicodeDecodeError as err:
-        raise FedsimError(f"{path}: not UTF-8 text ({err.reason} at byte {err.start})") from None
-
-
 def _read_rows(path: str, what: str) -> list:
     """The non-blank lines of a CSV file as float vectors of one length."""
     rows = []
-    for lineno, line in enumerate(_read_text(path).split("\n"), 1):
+    for lineno, line in enumerate(read_text(path).split("\n"), 1):
         line = line.strip()
         if line:
             rows.append(_parse_floats(line, f"{path} line {lineno}"))
@@ -155,7 +147,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "simulate":
-            cfg = parse_config(_read_text(args.config))
+            cfg = parse_config(read_text(args.config))
             cfg, seed_source = resolve_seed_override(cfg)
             out_dir = args.out or cfg.out
             os.makedirs(out_dir, exist_ok=True)  # fail before the run, not after it

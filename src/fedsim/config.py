@@ -9,7 +9,9 @@ fixpoint; run manifests hash this canonical text.
 Required keys: ``experiment``, ``algorithm``, ``link``, ``seed`` (runs
 never default to wall-clock seeds).  The ``ExperimentConfig`` fields are
 the schema: their order is the canonical key order and their types say
-how each value parses.  Every other key defaults to the experiment's
+how each value parses.  An ``ExperimentConfig`` checks every value rule
+when it is built, ``dataclasses.replace`` included, so no invalid one
+exists.  Every other key defaults to the experiment's
 reference setup in ``_DEFAULTS``; ``reference_config`` builds that setup,
 and the figure grids run it.
 
@@ -64,6 +66,21 @@ class ExperimentConfig:
     seed: int
     out: str = "."
 
+    def __post_init__(self):
+        """Every rule a run's inputs must meet, so no invalid config exists."""
+        if self.experiment not in EXPERIMENTS:
+            raise ConfigError(f"experiment must be one of {EXPERIMENTS}")
+        self.algorithm_config()
+        for key in ("m", "T", "batch_size", "samples_per_client"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"key '{key}' must be >= 1")
+        if self.experiment == "counterexample" and self.d < 1:
+            raise ConfigError("key 'd' must be >= 1")
+        if self.experiment == "synthetic":
+            check_synthetic(self.alpha, self.beta, self.samples_per_client)
+        check_seed(self.seed)
+        make_link_process(self.link, self.m)  # validates the spec string
+
     def algorithm_config(self) -> AlgorithmConfig:
         """The round engine's view of this run; checks algorithm, local_compute, s, eta."""
         return AlgorithmConfig(variant=self.algorithm, s=self.s, eta=self.eta,
@@ -117,8 +134,7 @@ def parse_config(text: str) -> ExperimentConfig:
 def reference_config(experiment: str, algorithm: str, link: str, seed: int, *,
                      scale: float = 1.0, **keys) -> ExperimentConfig:
     """The experiment's reference setup, its m and T (and d on the
-    counterexample) multiplied by ``scale``, with ``keys`` overriding it;
-    validated."""
+    counterexample) multiplied by ``scale``, with ``keys`` overriding it."""
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"experiment must be one of {EXPERIMENTS}")
     if not (0 < scale <= 1):
@@ -126,25 +142,8 @@ def reference_config(experiment: str, algorithm: str, link: str, seed: int, *,
     ref = dict(_DEFAULTS[experiment])
     for key in ("m", "T", "d") if experiment == "counterexample" else ("m", "T"):
         ref[key] = max(1, round(ref[key] * scale))
-    cfg = ExperimentConfig(experiment=experiment, algorithm=algorithm, link=link, seed=seed,
-                           **{**ref, **keys})
-    validate_config(cfg)
-    return cfg
-
-
-def validate_config(cfg: ExperimentConfig) -> None:
-    if cfg.experiment not in EXPERIMENTS:
-        raise ConfigError(f"experiment must be one of {EXPERIMENTS}")
-    cfg.algorithm_config()
-    for key in ("m", "T", "batch_size", "samples_per_client"):
-        if getattr(cfg, key) < 1:
-            raise ConfigError(f"key '{key}' must be >= 1")
-    if cfg.experiment == "counterexample" and cfg.d < 1:
-        raise ConfigError("key 'd' must be >= 1")
-    if cfg.experiment == "synthetic":
-        check_synthetic(cfg.alpha, cfg.beta, cfg.samples_per_client)
-    check_seed(cfg.seed)
-    make_link_process(cfg.link, cfg.m)  # validates the spec string
+    return ExperimentConfig(experiment=experiment, algorithm=algorithm, link=link, seed=seed,
+                            **{**ref, **keys})
 
 
 def check_seed(seed: int) -> None:

@@ -25,13 +25,12 @@ import numpy as np
 from . import __version__
 from .algorithms import (LOCAL_COMPUTE_MODES, VARIANTS, ExperimentResult, MetricsRow,
                          run_experiment)
-from .config import (ExperimentConfig, make_link_process, reference_config,
-                     serialize_config, validate_config)
+from .config import ExperimentConfig, make_link_process, reference_config, serialize_config
 from .errors import ConfigError, DivergedRunError
 from .link_model import TraceRound, build_trace, write_trace_csv
 from .mixing import (entrywise_lower_bound, ergodicity_bound,
                      expected_square_exact, rho)
-from .numerics import format_real
+from .numerics import csv_records, format_real
 from .objectives import QuadraticObjective, SoftmaxObjective, generate_synthetic
 from .oracles import fedavg_limit_integral
 from .streams import GENERATOR_ID, SeededStream
@@ -61,24 +60,19 @@ def write_metrics_csv(path, rows: Sequence[MetricsRow]) -> None:
 def read_metrics_csv(path) -> List[MetricsRow]:
     """Read a file written by ``write_metrics_csv``; a row that it could not
     have written raises ``ConfigError`` naming the line."""
-    n_fields = METRICS_HEADER.count(",") + 1
+    records = csv_records(path, "metrics", METRICS_HEADER.count(",") + 1)
+    _, header = next(records, (None, []))
+    if header != METRICS_HEADER.split(","):
+        raise ConfigError(f"unexpected metrics header {','.join(header)!r}")
     rows = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != METRICS_HEADER:
-            raise ConfigError(f"unexpected metrics header {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            where = f"metrics line {lineno}"
-            f = line.rstrip("\n").split(",")
-            if len(f) != n_fields:
-                raise ConfigError(f"{where}: expected {n_fields} fields, got {len(f)}")
-            try:
-                rows.append(MetricsRow(
-                    round=int(f[0]), grad_norm=float(f[1]), consensus_error=float(f[2]),
-                    train_loss=float(f[3]), test_accuracy=None if f[4] == "" else float(f[4]),
-                    active_count=int(f[5])))
-            except ValueError:
-                raise ConfigError(f"{where}: malformed field") from None
+    for where, f in records:
+        try:
+            rows.append(MetricsRow(
+                round=int(f[0]), grad_norm=float(f[1]), consensus_error=float(f[2]),
+                train_loss=float(f[3]), test_accuracy=None if f[4] == "" else float(f[4]),
+                active_count=int(f[5])))
+        except ValueError:
+            raise ConfigError(f"{where}: malformed field") from None
     return rows
 
 
@@ -181,9 +175,7 @@ def resolve_seed_override(cfg: ExperimentConfig) -> tuple:
         seed = int(raw)
     except ValueError:
         raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
-    cfg = replace(cfg, seed=seed)
-    validate_config(cfg)
-    return cfg, "env"
+    return replace(cfg, seed=seed), "env"
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ not sum to anything in particular).
 
 from __future__ import annotations
 
-import csv
 import functools
 import hashlib
 from dataclasses import dataclass
@@ -21,7 +20,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .errors import ConfigError
-from .numerics import format_real, validate_probabilities
+from .numerics import csv_records, format_real, validate_probabilities
 from .streams import SeededStream
 
 
@@ -117,7 +116,7 @@ def probabilities_at(process, t: int, stream: SeededStream) -> np.ndarray:
 
 def sample_active_set(p: np.ndarray, t: int, stream: SeededStream) -> ActiveSet:
     """Independent Bernoulli(p_i) activation per client, addressed by round."""
-    p = validate_probabilities(p, allow_zero=True)
+    p = validate_probabilities(p)
     gen = stream.child("bern", t).generator()
     draws = gen.random(p.size)
     members = tuple(int(i) for i in np.nonzero(draws < p)[0])
@@ -172,25 +171,21 @@ def read_trace_csv(path) -> List[TraceRound]:
     some other trace.
     """
     per_round: dict = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["round", "client", "p", "active"]:
-            raise ConfigError(f"unexpected trace header: {header}")
-        for rec in reader:
-            where = f"trace line {reader.line_num}"
-            if len(rec) != 4:
-                raise ConfigError(f"{where}: expected 4 fields, got {len(rec)}")
-            try:
-                t, i, p, act = int(rec[0]), int(rec[1]), float(rec[2]), int(rec[3])
-            except ValueError:
-                raise ConfigError(f"{where}: malformed field in {rec!r}") from None
-            if act not in (0, 1):
-                raise ConfigError(f"{where}: active must be 0 or 1, got {act}")
-            clients = per_round.setdefault(t, {})
-            if i in clients:
-                raise ConfigError(f"{where}: client {i} appears twice in round {t}")
-            clients[i] = (p, act)
+    records = csv_records(path, "trace", 4)
+    _, header = next(records, (None, []))
+    if header != ["round", "client", "p", "active"]:
+        raise ConfigError(f"unexpected trace header: {header}")
+    for where, rec in records:
+        try:
+            t, i, p, act = int(rec[0]), int(rec[1]), float(rec[2]), int(rec[3])
+        except ValueError:
+            raise ConfigError(f"{where}: malformed field in {rec!r}") from None
+        if act not in (0, 1):
+            raise ConfigError(f"{where}: active must be 0 or 1, got {act}")
+        clients = per_round.setdefault(t, {})
+        if i in clients:
+            raise ConfigError(f"{where}: client {i} appears twice in round {t}")
+        clients[i] = (p, act)
     rounds = sorted(per_round)
     if not rounds:
         raise ConfigError("trace has no rounds")

@@ -9,8 +9,10 @@ integral of a product of linear factors: with q = 1 - p,
 and E[1/(2+S)] picks up one extra factor of s.  The integrands are
 polynomials of degree at most m, so Gauss–Legendre quadrature with
 ``m//2 + 2`` nodes integrates them exactly up to rounding (Golub & Welsch,
-Math. Comp. 23, 1969).  Three operations live here (plus ``format_real``,
-the real-number format of every CSV file and of the canonical config text):
+Math. Comp. 23, 1969).  Three operations live here (plus the file rules:
+``read_text`` and ``csv_records``, the one strict UTF-8 reader and CSV line
+loop behind every file fedsim reads, and ``format_real``, the real-number
+format of every CSV file and of the canonical config text):
 
 * ``bernoulli_quadrature`` — the kernel.  For a probability vector it
   returns the nodes and weights on [0, 1], the full product
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Iterable, Tuple
+from typing import Iterable, Iterator, List, Tuple
 
 import numpy as np
 
@@ -51,18 +53,39 @@ def format_real(x: float) -> str:
     return f"{x:.17g}"
 
 
-def validate_probabilities(p, *, allow_zero: bool = False) -> np.ndarray:
-    """A non-empty vector of activation probabilities, each in (0, 1], or
-    in [0, 1] with ``allow_zero`` (a single Bernoulli draw is defined at 0;
-    the mixing and limit results need every p_i > 0)."""
+def _lines(path) -> Iterator[str]:
+    """A UTF-8 input file's lines, streamed; any other bytes are malformed."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield from fh
+    except UnicodeDecodeError as err:  # no offset: err.start is chunk-relative
+        raise ConfigError(f"{path}: not UTF-8 text ({err.reason})") from None
+
+
+def read_text(path) -> str:
+    """The whole text of a UTF-8 input file."""
+    return "".join(_lines(path))
+
+
+def csv_records(path, what: str, n_fields: int) -> Iterator[Tuple[str, List[str]]]:
+    """Stream a UTF-8 CSV file as ``(where, fields)`` per line, ``where`` being
+    ``"<what> line N"``; a line after line 1 (the header) with other than
+    ``n_fields`` fields raises ``ConfigError``.  An empty file yields nothing."""
+    for lineno, line in enumerate(_lines(path), start=1):
+        where, fields = f"{what} line {lineno}", line.rstrip("\n").split(",")
+        if lineno > 1 and len(fields) != n_fields:
+            raise ConfigError(f"{where}: expected {n_fields} fields, got {len(fields)}")
+        yield where, fields
+
+
+def validate_probabilities(p) -> np.ndarray:
+    """A non-empty vector of activation probabilities, each in (0, 1]."""
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise ConfigError("need a non-empty probability vector")
     # Written so that NaN fails the test as well.
-    above = p >= 0.0 if allow_zero else p > 0.0
-    if not np.all(above & (p <= 1.0)):
-        raise ConfigError("activation probabilities must lie in "
-                          f"{'[' if allow_zero else '('}0, 1]")
+    if not np.all((p > 0.0) & (p <= 1.0)):
+        raise ConfigError("activation probabilities must lie in (0, 1]")
     return p
 
 

@@ -24,7 +24,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import ConfigError
-from .numerics import format_real
+from .numerics import csv_records, format_real
 from .streams import SeededStream
 
 N_FEATURES = 60
@@ -252,44 +252,42 @@ def save_dataset_csv(path, dataset: FederatedDataset) -> None:
 
 def load_dataset_csv(path) -> FederatedDataset:
     """Read a file written by ``save_dataset_csv``; a header or row that it
-    could not have written raises ``ConfigError`` naming the line."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        header = fh.readline().rstrip("\n").split(",")
-        if len(header) != 5 or header[0] != DATASET_MAGIC:
-            raise ConfigError(f"not a {DATASET_MAGIC} dataset file")
-        try:
-            alpha, beta = float(header[1]), float(header[2])
-            m, seed = int(header[3]), int(header[4])
-        except ValueError:
-            raise ConfigError(f"dataset line 1: malformed header field in {header!r}") from None
+    could not have written, or a header ``alpha``/``beta`` that
+    ``generate_synthetic`` refuses, raises ``ConfigError`` naming the line."""
+    records = csv_records(path, "dataset", 3 + N_FEATURES)
+    where, header = next(records, (None, []))
+    if len(header) != 5 or header[0] != DATASET_MAGIC:
+        raise ConfigError(f"not a {DATASET_MAGIC} dataset file")
+    try:
+        alpha, beta = float(header[1]), float(header[2])
+        m, seed = int(header[3]), int(header[4])
         if m < 1:
-            raise ConfigError(f"dataset line 1: client count must be >= 1, got {m}")
-        rows = {("train", i): ([], []) for i in range(m)}
-        rows.update({("test", i): ([], []) for i in range(m)})
-        for lineno, line in enumerate(fh, start=2):
-            where = f"dataset line {lineno}"
-            rec = line.rstrip("\n").split(",")
-            if len(rec) != 3 + N_FEATURES:
-                raise ConfigError(f"{where}: expected {3 + N_FEATURES} fields, got {len(rec)}")
-            try:
-                cid, split, label = int(rec[0]), rec[1], int(rec[2])
-                feats = [float(v) for v in rec[3:]]
-            except ValueError:
-                raise ConfigError(f"{where}: malformed field") from None
-            if (split, cid) not in rows:
-                raise ConfigError(f"{where}: need split 'train' or 'test' and a client "
-                                  f"id in 0..{m - 1}, got {split!r} and {cid}")
-            if not 0 <= label < N_CLASSES:
-                raise ConfigError(f"{where}: label {label} outside 0..{N_CLASSES - 1}")
-            xs, ys = rows[(split, cid)]
-            xs.append(feats)
-            ys.append(label)
+            raise ConfigError(f"client count must be >= 1, got {m}")
+        check_synthetic(alpha, beta, 2)  # a client's rows are at least 2 samples
+    except ValueError:
+        raise ConfigError(f"{where}: malformed header field in {header!r}") from None
+    except ConfigError as err:
+        raise ConfigError(f"{where}: {err}") from None
+    rows: dict = {}  # (split, client) -> (features, labels), keyed as rows arrive
+    for where, rec in records:
+        try:
+            cid, split, label = int(rec[0]), rec[1], int(rec[2])
+            feats = [float(v) for v in rec[3:]]
+        except ValueError:
+            raise ConfigError(f"{where}: malformed field") from None
+        if split not in ("train", "test") or not 0 <= cid < m:
+            raise ConfigError(f"{where}: need split 'train' or 'test' and a client "
+                              f"id in 0..{m - 1}, got {split!r} and {cid}")
+        if not 0 <= label < N_CLASSES:
+            raise ConfigError(f"{where}: label {label} outside 0..{N_CLASSES - 1}")
+        xs, ys = rows.setdefault((split, cid), ([], []))
+        xs.append(feats)
+        ys.append(label)
     clients = []
     for i in range(m):
-        tx, ty = rows[("train", i)]
-        ex, ey = rows[("test", i)]
-        if not tx or not ex:
+        if ("train", i) not in rows or ("test", i) not in rows:
             raise ConfigError(f"client {i} is missing a train or test partition")
+        (tx, ty), (ex, ey) = rows.pop(("train", i)), rows.pop(("test", i))
         clients.append(ClientData(
             train_x=np.array(tx), train_y=np.array(ty, dtype=np.int64),
             test_x=np.array(ex), test_y=np.array(ey, dtype=np.int64)))

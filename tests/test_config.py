@@ -1,3 +1,5 @@
+from dataclasses import asdict, replace
+
 import numpy as np
 import pytest
 
@@ -172,3 +174,31 @@ def test_link_process_factory_rejects_empty_static_entry(spec):
     # Dropping the empty entry would run "static:0.5,,0.5" as two clients.
     with pytest.raises(ConfigError, match="static"):
         make_link_process(spec, 2)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("experiment", "other", "experiment must be one of"),
+    ("algorithm", "fedprox", "key 'algorithm'"),
+    ("m", 0, "key 'm' must be >= 1"),
+    ("T", 0, "key 'T' must be >= 1"),
+    ("d", 0, "key 'd' must be >= 1"),
+    ("samples_per_client", 0, "key 'samples_per_client' must be >= 1"),
+    ("seed", -1, "key 'seed'"),
+    ("seed", 2**64, "key 'seed'"),
+    ("link", "uniform:0", r"\(0, 1\]"),
+    ("link", "halves:0.9", "two probabilities"),
+])
+def test_experiment_config_validates_when_built_or_replaced(field, value, message):
+    valid = parse_config(MINIMAL_COUNTEREXAMPLE)
+    fields = {**asdict(valid), field: value}
+    with pytest.raises(ConfigError, match=message):
+        ExperimentConfig(**fields)
+    with pytest.raises(ConfigError, match=message):
+        replace(valid, **{field: value})
+
+
+@pytest.mark.parametrize("field, value", [("alpha", float("nan")), ("beta", -1.0),
+                                          ("samples_per_client", 1)])
+def test_synthetic_config_validates_the_generator_rules_when_replaced(field, value):
+    with pytest.raises(ConfigError):
+        replace(parse_config(MINIMAL_SYNTHETIC), **{field: value})

@@ -420,6 +420,34 @@ def test_cli_file_and_seed_errors(tmp_path, capsys, monkeypatch, argv):
     assert_cli_error(capsys, [arg.format(tmp=tmp_path) for arg in argv])
 
 
+# Each input with a valid line 1 and a non-UTF-8 byte on line 2: a library
+# reader, or the CLI arguments that read it ("{path}" is the file).
+NOT_UTF8_INPUTS = {
+    "metrics": (b"round,grad_norm,consensus_error,train_loss,test_accuracy,active_count\n",
+                read_metrics_csv),
+    "trace": (b"round,client,p,active\n", read_trace_csv),
+    "dataset": (b"synthetic-v1,1,1,1,7\n", load_dataset_csv),
+    "config": (b"experiment = counterexample\n", ["simulate", "--config", "{path}"]),
+    "p-file": (b"0.5,0.5\n", ["mixing", "--p-file", "{path}"]),
+    "targets": (b"0,0\n", ["oracle", "--p", "0.5,0.5", "--u", "{path}"]),
+}
+
+
+@pytest.mark.parametrize("kind", NOT_UTF8_INPUTS)
+def test_non_utf8_input_is_one_config_error_naming_the_path(tmp_path, capsys, kind):
+    line1, reader = NOT_UTF8_INPUTS[kind]
+    path = tmp_path / f"{kind}.csv"
+    path.write_bytes(line1 + b"0,\xff,1\n")
+    message = f"{path}: not UTF-8 text (invalid start byte)"
+    if callable(reader):
+        with pytest.raises(ConfigError) as info:
+            reader(path)
+        assert str(info.value) == message
+    else:
+        argv = [arg.format(path=path) for arg in reader]
+        assert assert_cli_error(capsys, argv) == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("target, argv", [
     ("run_simulation", ["simulate", "--config", "{tmp}/run.cfg", "--out", "{tmp}/run"]),
     ("generate_synthetic", GENDATA + ["--seed", "1", "--out", "{tmp}/g.csv"]),

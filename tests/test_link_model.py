@@ -105,7 +105,8 @@ def test_zipf_process_config_errors():
 def test_sample_active_set_degenerate_probabilities():
     s = SeededStream(1).child("links")
     assert sample_active_set(np.array([1.0, 1.0, 1.0]), 0, s).members == (0, 1, 2)
-    assert sample_active_set(np.array([0.0, 0.0]), 1, s).members == ()
+    with pytest.raises(ConfigError, match=r"\(0, 1\]"):
+        sample_active_set(np.array([0.0, 0.0]), 1, s)
 
 
 @pytest.mark.parametrize("p", [[float("nan"), 0.5, 1.0], [0.5, -0.1], [1.5, 0.5], []])

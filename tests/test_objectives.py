@@ -194,13 +194,28 @@ def set_field(i, value):
     (0, set_field(3, "0"), "client count must be >= 1"),
     (3, set_field(2, "12"), "label 12 outside 0..9"),
     (3, set_field(2, "-1"), "label -1 outside 0..9"),
+    (0, set_field(1, "nan"), "alpha and beta are variances"),
+    (0, set_field(2, "-1"), "alpha and beta are variances"),
+    (0, set_field(2, "inf"), "alpha and beta are variances"),
 ], ids=["client-above-m", "client-negative", "split", "id-not-integer",
         "label-not-integer", "short-row", "header-field", "header-m-zero", "label-12",
-        "label-minus-1"])
+        "label-minus-1", "header-alpha-nan", "header-beta-negative", "header-beta-inf"])
 def test_load_dataset_rejects_bad_row(tmp_path, line, edit, message):
     path = corrupt_dataset(tmp_path, line, edit)
     where = "dataset line 1" if line == 0 else f"dataset line {line + 1}:"
     with pytest.raises(ConfigError, match=f"{where}.*{message}"):
+        load_dataset_csv(path)
+
+
+def test_load_dataset_huge_client_count_fails_at_the_first_missing_client(tmp_path):
+    # The header claims 10**12 clients and the rows hold only client 0's: the
+    # reader keys rows as they arrive, so it stops at client 1 without
+    # building anything per claimed client.
+    path = corrupt_dataset(tmp_path, 0, set_field(3, str(10**12)))
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join(line for line in lines if not line.startswith("1,")) + "\n",
+                    encoding="utf-8")
+    with pytest.raises(ConfigError, match="client 1 is missing"):
         load_dataset_csv(path)
 
 

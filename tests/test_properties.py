@@ -1,9 +1,10 @@
 """Property tests for invariants that example tests pin only at a few
 points: the gossip matrix of any active set, FedPBC on an empty round, the
 quadratic's closed-form local steps against the step-by-step loop, exact
-round trips of the trace and dataset files, and the JSON-lines writer
-against ``json.dumps``."""
+round trips of the trace and dataset files, the file readers on malformed
+bytes, and the JSON-lines writer against ``json.dumps``."""
 
+import functools
 import json
 import os
 import struct
@@ -14,16 +15,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fedsim.algorithms import AlgorithmConfig, FleetState, run_round
+from fedsim.algorithms import AlgorithmConfig, FleetState, MetricsRow, run_round
 from fedsim.cli import _emit_json_lines
 from fedsim.config import make_link_process
-from fedsim.errors import DivergedRunError
-from fedsim.harness import mixing_report
-from fedsim.link_model import (ActiveSet, TraceRound, build_trace, read_trace_csv,
-                               write_trace_csv)
+from fedsim.errors import ConfigError, DivergedRunError
+from fedsim.harness import mixing_report, read_metrics_csv, write_metrics_csv
+from fedsim.link_model import (ActiveSet, StaticLinkProcess, TraceRound, build_trace,
+                               read_trace_csv, write_trace_csv)
 from fedsim.mixing import build_mixing
 from fedsim.objectives import (N_CLASSES, N_FEATURES, ClientData, FederatedDataset,
-                               QuadraticObjective, load_dataset_csv, save_dataset_csv)
+                               QuadraticObjective, generate_synthetic, load_dataset_csv,
+                               save_dataset_csv)
 from fedsim.streams import SeededStream
 
 PROPERTIES = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -213,6 +215,62 @@ def test_dataset_csv_round_trips_exactly(dataset):
         for field in ("train_x", "train_y", "test_x", "test_y"):
             assert np.array_equal(getattr(loaded, field), getattr(orig, field))
             assert getattr(loaded, field).dtype == getattr(orig, field).dtype
+
+
+@functools.cache
+def valid_file(reader: str) -> bytes:
+    """A small file that ``reader`` reads back without error."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "valid.csv")
+        if reader == "metrics":
+            write_metrics_csv(path, [MetricsRow(0, 1.5, 0.25, 2.0, None, 1),
+                                     MetricsRow(1, 1.0, 0.5, 1.75, 0.5, 2)])
+        elif reader == "trace":
+            write_trace_csv(path, build_trace(StaticLinkProcess([0.5, 0.9]), 2,
+                                              SeededStream(3).child("links")))
+        else:
+            save_dataset_csv(path, generate_synthetic(1.0, 1.0, 1, 2,
+                                                      SeededStream(3).child("data")))
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+READERS = {"metrics": read_metrics_csv, "trace": read_trace_csv, "dataset": load_dataset_csv}
+FIELD_VALUES = (st.sampled_from(["", "0", "1", "2", "-1", "1.5", "nan", "inf", "1e309",
+                                 "x", "train", "test", "synthetic-v1"])
+                | st.text(max_size=4))
+
+
+def read_ends_in_a_value_or_a_config_error(reader: str, data: bytes) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.csv")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        try:
+            READERS[reader](path)
+        except ConfigError:
+            pass
+
+
+@PROPERTIES
+@pytest.mark.parametrize("reader", READERS)
+@given(prefix=st.sampled_from(["none", "line 1", "whole file"]), tail=st.binary(max_size=24))
+def test_readers_on_short_byte_strings(reader, prefix, tail):
+    valid = valid_file(reader)
+    head = {"none": b"", "line 1": valid[:valid.index(b"\n") + 1], "whole file": valid}
+    read_ends_in_a_value_or_a_config_error(reader, head[prefix] + tail)
+
+
+@PROPERTIES
+@pytest.mark.parametrize("reader", READERS)
+@given(data=st.data())
+def test_readers_on_one_field_mutations(reader, data):
+    lines = valid_file(reader).decode("utf-8").splitlines()
+    i = data.draw(st.integers(0, len(lines) - 1), label="line")
+    fields = lines[i].split(",")
+    fields[data.draw(st.integers(0, len(fields) - 1), label="field")] = data.draw(FIELD_VALUES)
+    lines[i] = ",".join(fields)
+    read_ends_in_a_value_or_a_config_error(reader, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def bits_to_float(bits: int) -> float:
