@@ -24,6 +24,7 @@ round of a link trace and collects the metrics rows.  A round, in order:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -90,19 +91,24 @@ class MetricsRow:
 
 
 def _measure(t: int, starts: np.ndarray, objective, active_count: int) -> MetricsRow:
-    with np.errstate(over="ignore", invalid="ignore"):
-        x_bar = starts.mean(axis=1)
-        loss, grad = objective.loss_and_gradient(x_bar)
-        dev = starts - x_bar[:, None]
-        consensus = float((dev * dev).sum() / starts.shape[1])
-        return MetricsRow(round=t, grad_norm=float(np.linalg.norm(grad)),
-                          consensus_error=consensus, train_loss=loss,
-                          test_accuracy=objective.test_accuracy(x_bar),
-                          active_count=active_count)
+    """The metrics row of the fleet ``starts``; the caller holds the errstate.
+
+    ``sum / m`` is bit for bit ``mean``, and ``sqrt(g . g)`` is how
+    ``np.linalg.norm`` computes a vector's norm, without their Python-level
+    overhead."""
+    m = starts.shape[1]
+    x_bar = starts.sum(axis=1) / m
+    loss, grad = objective.loss_and_gradient(x_bar)
+    dev = starts - x_bar[:, None]
+    dev *= dev
+    return MetricsRow(round=t, grad_norm=math.sqrt(grad.dot(grad)),
+                      consensus_error=float(dev.sum() / m), train_loss=loss,
+                      test_accuracy=objective.test_accuracy(x_bar),
+                      active_count=active_count)
 
 
 def _check_finite(X: np.ndarray, row: MetricsRow) -> None:
-    if np.all(np.isfinite(X)):
+    if np.isfinite(X).all():
         return
     bad = int(np.nonzero(~np.isfinite(X).all(axis=0))[0][0])
     raise DivergedRunError(f"non-finite iterate at round {row.round}, client {bad}",
@@ -121,21 +127,23 @@ def run_round(state: FleetState, active: ActiveSet, cfg: AlgorithmConfig,
     carries this round's row only.
     """
     m = state.num_clients
-    members = list(active.members)
+    members = np.array(active.members, dtype=np.intp)
+    k = members.size
     X = state.X.copy()
     if cfg.variant == "fedavg":
         X[:, members] = state.global_model[:, None]  # the broadcast
-    row = _measure(state.round, X, objective, len(members))
-    clients = np.arange(m) if cfg.local_compute == "all" else np.array(members, dtype=int)
-    if len(clients):
-        batch = objective.fleet_batch(clients, batchers)
-        local = X if len(clients) == m else X[:, clients]
-        with np.errstate(over="ignore", invalid="ignore"):
+    clients = np.arange(m) if cfg.local_compute == "all" else members
+    with np.errstate(over="ignore", invalid="ignore"):
+        row = _measure(state.round, X, objective, k)
+        if clients.size:
+            batch = objective.fleet_batch(clients, batchers)
+            local = X if clients.size == m else X[:, clients]
             objective.local_steps(local, batch, cfg.s, cfg.eta)
-        if local is not X:
-            X[:, clients] = local
+            if local is not X:
+                X[:, clients] = local
     _check_finite(X, row)
-    new_global = X[:, members].mean(axis=1) if members else state.global_model.copy()
+    # sum / k is bit for bit the mean of the active columns.
+    new_global = X[:, members].sum(axis=1) / k if k else state.global_model.copy()
     if cfg.variant == "fedpbc":
         X[:, members] = new_global[:, None]  # the postponed multicast
     return FleetState(X=X, global_model=new_global, round=state.round + 1), row

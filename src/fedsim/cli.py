@@ -22,33 +22,27 @@ import sys
 import numpy as np
 
 from .config import check_seed, parse_config
-from .errors import FedsimError
+from .errors import ConfigError, FedsimError
 from .harness import (mixing_report, oracle_report, reproduce_fig2, reproduce_fig3,
                       resolve_seed_override, run_simulation, write_run_outputs)
-from .numerics import read_text
+from .numerics import csv_records, read_text
 from .objectives import generate_synthetic, save_dataset_csv
 from .streams import SeededStream
 
 
-def _parse_floats(text: str, where: str) -> np.ndarray:
+def _parse_floats(fields: list, where: str) -> np.ndarray:
     try:
-        return np.array([float(v) for v in text.split(",")])
+        return np.array([float(v) for v in fields])
     except ValueError:
-        raise FedsimError(f"{where}: expected comma-separated numbers, got {text!r}") from None
+        raise ConfigError(f"{where}: expected comma-separated numbers, "
+                          f"got {','.join(fields).strip()!r}") from None
 
 
 def _read_rows(path: str, what: str) -> list:
     """The non-blank lines of a CSV file as float vectors of one length."""
-    rows = []
-    for lineno, line in enumerate(read_text(path).split("\n"), 1):
-        line = line.strip()
-        if line:
-            rows.append(_parse_floats(line, f"{path} line {lineno}"))
+    rows = [_parse_floats(fields, where) for where, fields in csv_records(path, path)]
     if not rows:
-        raise FedsimError(f"no {what} rows found in {path}")
-    lengths = sorted({row.size for row in rows})
-    if len(lengths) > 1:
-        raise FedsimError(f"{what} rows in {path} differ in length: {lengths}")
+        raise ConfigError(f"no {what} rows found in {path}")
     return rows
 
 
@@ -58,7 +52,7 @@ def _parse_p_argument(inline: str | None, path: str | None) -> list:
     if (inline is None) == (path is None):
         raise FedsimError("provide exactly one of --p or --p-file")
     if inline is not None:
-        return [_parse_floats(inline, "--p")]
+        return [_parse_floats(inline.split(","), "--p")]
     return _read_rows(path, "probability")
 
 

@@ -46,6 +46,10 @@ _DEFAULTS = {
 EXPERIMENTS = tuple(_DEFAULTS)
 
 
+class _UnknownExperiment(ConfigError):
+    """The ``experiment`` rule's error, which ``parse_config`` gives its line."""
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One run.  The field order is the canonical key order of config text."""
@@ -69,7 +73,7 @@ class ExperimentConfig:
     def __post_init__(self):
         """Every rule a run's inputs must meet, so no invalid config exists."""
         if self.experiment not in EXPERIMENTS:
-            raise ConfigError(f"experiment must be one of {EXPERIMENTS}")
+            raise _UnknownExperiment(f"experiment must be one of {EXPERIMENTS}")
         self.algorithm_config()
         for key in ("m", "T", "batch_size", "samples_per_client"):
             if getattr(self, key) < 1:
@@ -116,9 +120,6 @@ def parse_config(text: str) -> ExperimentConfig:
     for required in ("experiment", "algorithm", "link", "seed"):
         if required not in seen:
             raise ConfigError(f"missing required key '{required}'")
-    lineno, experiment = seen["experiment"]
-    if experiment not in EXPERIMENTS:
-        raise ConfigError(f"line {lineno}: experiment must be one of {EXPERIMENTS}")
 
     keys = {}
     for key, (lineno, raw) in seen.items():
@@ -128,18 +129,21 @@ def parse_config(text: str) -> ExperimentConfig:
         except ValueError:
             raise ConfigError(f"line {lineno}: key '{key}' expects {_EXPECTS[kind]}, "
                               f"got {raw!r}") from None
-    return reference_config(**keys)
+    try:
+        return reference_config(**keys)
+    except _UnknownExperiment as err:
+        raise ConfigError(f"line {seen['experiment'][0]}: {err}") from None
 
 
 def reference_config(experiment: str, algorithm: str, link: str, seed: int, *,
                      scale: float = 1.0, **keys) -> ExperimentConfig:
     """The experiment's reference setup, its m and T (and d on the
     counterexample) multiplied by ``scale``, with ``keys`` overriding it."""
-    if experiment not in EXPERIMENTS:
-        raise ConfigError(f"experiment must be one of {EXPERIMENTS}")
     if not (0 < scale <= 1):
         raise ConfigError(f"scale must lie in (0, 1], got {scale}")
-    ref = dict(_DEFAULTS[experiment])
+    # An unknown experiment borrows the first setup only for ExperimentConfig
+    # to reject it.
+    ref = dict(_DEFAULTS.get(experiment, _DEFAULTS[EXPERIMENTS[0]]))
     for key in ("m", "T", "d") if experiment == "counterexample" else ("m", "T"):
         ref[key] = max(1, round(ref[key] * scale))
     return ExperimentConfig(experiment=experiment, algorithm=algorithm, link=link, seed=seed,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import operator
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -31,7 +32,7 @@ class ActiveSet:
     members: Tuple[int, ...]
 
     def __post_init__(self):
-        if any(b <= a for a, b in zip(self.members, self.members[1:])):
+        if any(map(operator.ge, self.members, self.members[1:])):
             raise ValueError("active-set members must be strictly increasing")
         if self.members and self.members[0] < 0:
             raise ValueError("client ids must be non-negative")
@@ -114,13 +115,15 @@ def probabilities_at(process, t: int, stream: SeededStream) -> np.ndarray:
     return process.probabilities_at(t, stream)
 
 
+def _draw_active(p: np.ndarray, gen: np.random.Generator) -> ActiveSet:
+    """The Bernoulli draw rule: client i is up when its uniform is below p_i."""
+    return ActiveSet(tuple((gen.random(p.size) < p).nonzero()[0].tolist()))
+
+
 def sample_active_set(p: np.ndarray, t: int, stream: SeededStream) -> ActiveSet:
     """Independent Bernoulli(p_i) activation per client, addressed by round."""
     p = validate_probabilities(p)
-    gen = stream.child("bern", t).generator()
-    draws = gen.random(p.size)
-    members = tuple(int(i) for i in np.nonzero(draws < p)[0])
-    return ActiveSet(members)
+    return _draw_active(p, stream.child("bern", t).generator())
 
 
 @dataclass(frozen=True)
@@ -135,16 +138,24 @@ class TraceRound:
 def build_trace(process, T: int, stream: SeededStream) -> List[TraceRound]:
     """Sample a T-round activation trace from ``process``.
 
-    The same trace can be replayed across algorithms so that comparisons
-    see identical link failures.
+    Round t is ``sample_active_set(p_t, t, stream)``, bit for bit: its
+    generator's Philox key comes from ``stream.child_keys``, computed for
+    all rounds at once, and one Philox is set to each round's key with a
+    zero counter in turn.  The same trace can be replayed across
+    algorithms so that comparisons see identical link failures.
     """
     if T < 1:
         raise ConfigError("trace length must be >= 1")
+    keys = stream.child_keys("bern", T)
+    bits = np.random.Philox(key=keys[0])
+    gen = np.random.Generator(bits)
+    state = bits.state
     rounds = []
     for t in range(T):
-        p = process.probabilities_at(t, stream)
-        active = sample_active_set(p, t, stream)
-        rounds.append(TraceRound(round=t, p=p, active=active))
+        p = validate_probabilities(process.probabilities_at(t, stream))
+        state["state"]["key"] = keys[t]
+        bits.state = state  # a fresh Philox at that key: counter and buffer cleared
+        rounds.append(TraceRound(round=t, p=p, active=_draw_active(p, gen)))
     return rounds
 
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Iterable, Iterator, List, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -67,13 +67,25 @@ def read_text(path) -> str:
     return "".join(_lines(path))
 
 
-def csv_records(path, what: str, n_fields: int) -> Iterator[Tuple[str, List[str]]]:
+def csv_records(path, what: str,
+                n_fields: Optional[int] = None) -> Iterator[Tuple[str, List[str]]]:
     """Stream a UTF-8 CSV file as ``(where, fields)`` per line, ``where`` being
     ``"<what> line N"``; a line after line 1 (the header) with other than
-    ``n_fields`` fields raises ``ConfigError``.  An empty file yields nothing."""
+    ``n_fields`` fields raises ``ConfigError``.  An empty file yields nothing.
+
+    ``n_fields=None`` reads a headerless table instead: blank lines are
+    skipped, and every row must have the first row's field count.
+    """
+    table = n_fields is None
+    first = True
     for lineno, line in enumerate(_lines(path), start=1):
+        if table and not line.strip():
+            continue
         where, fields = f"{what} line {lineno}", line.rstrip("\n").split(",")
-        if lineno > 1 and len(fields) != n_fields:
+        if first:
+            first = False
+            n_fields = len(fields) if table else n_fields
+        elif len(fields) != n_fields:
             raise ConfigError(f"{where}: expected {n_fields} fields, got {len(fields)}")
         yield where, fields
 
@@ -84,7 +96,7 @@ def validate_probabilities(p) -> np.ndarray:
     if p.ndim != 1 or p.size == 0:
         raise ConfigError("need a non-empty probability vector")
     # Written so that NaN fails the test as well.
-    if not np.all((p > 0.0) & (p <= 1.0)):
+    if not ((p > 0.0) & (p <= 1.0)).all():
         raise ConfigError("activation probabilities must lie in (0, 1]")
     return p
 

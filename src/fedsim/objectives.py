@@ -109,7 +109,8 @@ class QuadraticObjective:
     def loss_and_gradient(self, x: np.ndarray) -> Tuple[float, np.ndarray]:
         """Mean loss over the clients at ``x`` and its gradient."""
         diffs = x[:, None] - self.targets
-        return (float(0.5 * (diffs * diffs).sum() / self.num_clients),
+        diffs *= diffs
+        return (float(0.5 * diffs.sum() / self.num_clients),
                 x - self._optimum)
 
     def global_gradient(self, x: np.ndarray) -> np.ndarray:

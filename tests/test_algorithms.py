@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from fedsim.algorithms import (AlgorithmConfig, FleetState, matrix_form_check,
+from fedsim.algorithms import (AlgorithmConfig, FleetState, MetricsRow, matrix_form_check,
                                run_experiment, run_round)
 from fedsim.errors import ConfigError, DivergedRunError
 from fedsim.link_model import (ActiveSet, StaticLinkProcess, TraceRound,
@@ -342,3 +344,70 @@ def test_run_experiment_is_run_round_in_a_loop_softmax_active_only():
         res = run_experiment(cfg, obj, StaticLinkProcess(np.ones(10)), 6, sim,
                              trace=trace, batch_size=48, x0=x0)
         assert_same_run(res, *run_round_loop(cfg, obj, trace, 6, sim, 48, x0))
+
+
+def literal_round(state, active, cfg, obj, batchers):
+    """One round written with the textbook forms: ``np.mean``,
+    ``np.linalg.norm``, squared deviations, a copied column block per
+    step call and the mean of the active columns."""
+    m = state.num_clients
+    members = list(active.members)
+    X = state.X.copy()
+    if cfg.variant == "fedavg":
+        X[:, members] = state.global_model[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_bar = np.mean(X, axis=1)
+        loss, grad = obj.loss_and_gradient(x_bar)
+        if isinstance(obj, QuadraticObjective):
+            loss = float(0.5 * ((x_bar[:, None] - obj.targets) ** 2).sum() / m)
+        row = MetricsRow(round=state.round, grad_norm=float(np.linalg.norm(grad)),
+                         consensus_error=float(((X - x_bar[:, None]) ** 2).sum() / m),
+                         train_loss=loss, test_accuracy=obj.test_accuracy(x_bar),
+                         active_count=len(members))
+        clients = list(range(m)) if cfg.local_compute == "all" else members
+        if clients:
+            local = X[:, clients]
+            obj.local_steps(local, obj.fleet_batch(np.array(clients), batchers), cfg.s, cfg.eta)
+            X[:, clients] = local
+    new_global = np.mean(X[:, members], axis=1) if members else state.global_model.copy()
+    if cfg.variant == "fedpbc":
+        X[:, members] = new_global[:, None]
+    return FleetState(X, new_global, state.round + 1), row
+
+
+def engine_case(name: str):
+    """The objective, start fleet and rounds' active sets of one case."""
+    rng = np.random.default_rng(81)
+    quad = QuadraticObjective(rng.normal(size=(4, 7)))
+    rounds = [(), (0, 2, 3), (1,), (0, 1, 2, 3, 4)]
+    if name == "quadratic":
+        return quad, rng.normal(scale=3.0, size=(4, 7)), rounds + [tuple(range(7))]
+    if name == "overflow":
+        # Deviations of 1e200 overflow the squares of the consensus error,
+        # the norm and the loss: the first row reads inf on both routes.
+        return quad, np.array([[1e200] * 6 + [-1e200]] * 4), rounds
+    soft = ragged_softmax_fleet(5)
+    return soft, rng.normal(scale=0.1, size=(soft.dim, 5)), rounds
+
+
+@pytest.mark.parametrize("variant", ["fedavg", "fedpbc"])
+@pytest.mark.parametrize("mode", ["all", "active_only"])
+@pytest.mark.parametrize("case", ["quadratic", "overflow", "softmax"])
+def test_run_round_matches_the_literal_formulas_bit_for_bit(variant, mode, case):
+    obj, X0, rounds = engine_case(case)
+    cfg = AlgorithmConfig(variant, s=3, eta=0.05, local_compute=mode)
+    mine = theirs = FleetState(X0.copy(), X0[:, -1].copy(), 0)
+    batchers_mine = obj.make_batchers(4, SeededStream(82).child("batches"))
+    batchers_theirs = obj.make_batchers(4, SeededStream(82).child("batches"))
+    rows = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for members in rounds:
+            mine, row = run_round(mine, ActiveSet(members), cfg, obj, batchers_mine)
+            theirs, ref = literal_round(theirs, ActiveSet(members), cfg, obj, batchers_theirs)
+            assert row == ref  # every field with ==; no field is nan here
+            assert np.array_equal(mine.X, theirs.X)
+            assert np.array_equal(mine.global_model, theirs.global_model)
+            rows.append(row)
+    if case == "overflow":
+        assert rows[0].consensus_error == rows[0].grad_norm == rows[0].train_loss == np.inf

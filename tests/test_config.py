@@ -44,6 +44,13 @@ def test_unknown_key_rejected_with_line():
         parse_config(text)
 
 
+def test_unknown_experiment_rejected_with_line():
+    text = MINIMAL_COUNTEREXAMPLE.replace("experiment = counterexample", "experiment = other")
+    line = text.splitlines().index("experiment = other") + 1
+    with pytest.raises(ConfigError, match=rf"^line {line}: experiment must be one of"):
+        parse_config(text)
+
+
 def test_missing_required_key():
     with pytest.raises(ConfigError, match="seed"):
         parse_config("experiment = counterexample\nalgorithm = fedavg\nlink = uniform:0.5\n")

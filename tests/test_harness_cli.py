@@ -362,9 +362,25 @@ def test_cli_rejects_malformed_float(tmp_path, capsys, option):
 
 
 def test_mixing_cli_rejects_ragged_p_file(tmp_path, capsys):
+    # The first row of another length is named at its line; blank lines
+    # are skipped but counted.
     p_file = tmp_path / "p.csv"
-    p_file.write_text("0.5,0.5\n0.5,0.5,0.5\n", encoding="utf-8")
-    assert_cli_error(capsys, ["mixing", "--p-file", str(p_file)])
+    p_file.write_text("0.5,0.5\n\n  \n0.5,0.5,0.5\n0.5\n", encoding="utf-8")
+    err = assert_cli_error(capsys, ["mixing", "--p-file", str(p_file)])
+    assert err == f"error: {p_file} line 4: expected 2 fields, got 3\n"
+
+
+def test_p_file_skips_blank_lines(tmp_path, capsys):
+    p_file = tmp_path / "p.csv"
+    p_file.write_text("0.5,0.5\n0.9,0.1\n", encoding="utf-8")
+    assert main(["mixing", "--p-file", str(p_file)]) == 0
+    plain = capsys.readouterr().out
+    p_file.write_text("\n0.5,0.5\n \n0.9,0.1\n\n", encoding="utf-8")
+    assert main(["mixing", "--p-file", str(p_file)]) == 0
+    assert capsys.readouterr().out == plain
+    p_file.write_text("\n \n", encoding="utf-8")
+    err = assert_cli_error(capsys, ["mixing", "--p-file", str(p_file)])
+    assert err == f"error: no probability rows found in {p_file}\n"
 
 
 @pytest.mark.parametrize("rows", ["0,0\n1,1\n2,2\n", "0,0\n1\n", "nan,1\n2,3\n"],

@@ -121,6 +121,28 @@ def test_sample_active_set_is_deterministic_per_round():
     assert a == b
 
 
+@pytest.mark.parametrize("process", [StaticLinkProcess([0.3, 1.0, 0.05, 0.9, 0.5]),
+                                     ZipfCountLinkProcess(a=3.0, n=500, floor=0.1, m=5)],
+                         ids=["static", "zipf"])
+def test_build_trace_is_sample_active_set_per_round(process):
+    # build_trace derives every round's key at once; the draws must be the
+    # ones each round's own generator gives.
+    trace = build_trace(process, 60, SeededStream(21).child("links"))
+    fresh = SeededStream(21).child("links")
+    assert len(trace) == 60
+    for t, row in enumerate(trace):
+        assert row.round == t
+        assert np.array_equal(row.p, process.probabilities_at(t, fresh))
+        assert row.active == sample_active_set(row.p, t, fresh)
+
+
+def test_build_trace_on_a_stream_with_a_generator_raises():
+    stream = SeededStream(21).child("links")
+    stream.generator()
+    with pytest.raises(RuntimeError, match="can no longer be split"):
+        build_trace(StaticLinkProcess([0.5, 0.5]), 3, stream)
+
+
 def test_single_active_probability_half_half():
     # P(|A| = 1) = 0.5 for p = (0.5, 0.5); binomial CI at 1e5 trials.
     stream = SeededStream(77).child("links")

@@ -2,13 +2,17 @@
 points: the gossip matrix of any active set, FedPBC on an empty round, the
 quadratic's closed-form local steps against the step-by-step loop, exact
 round trips of the trace and dataset files, the file readers on malformed
-bytes, and the JSON-lines writer against ``json.dumps``."""
+bytes, the JSON-lines writer against ``json.dumps``, and ``fedsim simulate``
+on link specs with edge numbers."""
 
+import contextlib
 import functools
+import io
 import json
 import os
 import struct
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedsim.algorithms import AlgorithmConfig, FleetState, MetricsRow, run_round
-from fedsim.cli import _emit_json_lines
+from fedsim.cli import _emit_json_lines, main
 from fedsim.config import make_link_process
 from fedsim.errors import ConfigError, DivergedRunError
 from fedsim.harness import mixing_report, read_metrics_csv, write_metrics_csv
@@ -339,3 +343,55 @@ def zipf_floor_p(m=60):
 @pytest.mark.parametrize("make_p", [zipf_floor_p, near_uniform_p])
 def test_mixing_report_json_lines_are_json_dumps(make_p):
     assert_writes_json_dumps(mixing_report([make_p()]))
+
+
+# The edge numbers of a link spec: both zeros, subnormals, 1 and just above
+# it, the largest decade, nan and inf.  Half the draws are a valid
+# probability, so that most specs run.
+EDGE_NUMBERS = ["0", "-0", "5e-324", "1e-310", "1", "1.0000001", "1e308", "nan", "inf",
+                "-inf"]
+spec_number = st.one_of(st.sampled_from(EDGE_NUMBERS), st.sampled_from(["0.5", "1", "1e-310"]))
+
+
+@st.composite
+def link_specs(draw, m):
+    kind = draw(st.sampled_from(["static", "halves", "uniform", "zipf"]))
+    if kind == "static":
+        values = draw(st.lists(spec_number, min_size=m, max_size=draw(st.sampled_from([m, 6]))))
+    elif kind == "halves":
+        values = [draw(spec_number), draw(spec_number)]
+    elif kind == "uniform":
+        values = [draw(spec_number)]
+    else:  # the draw count stays small: "1e308" and "inf" are not integers
+        values = [draw(st.sampled_from(EDGE_NUMBERS + ["3"])),
+                  draw(st.sampled_from(EDGE_NUMBERS + ["20"])), draw(spec_number)]
+    return f"{kind}:{','.join(values)}"
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), m=st.integers(1, 6), T=st.integers(1, 5),
+       variant=st.sampled_from(["fedavg", "fedpbc"]),
+       mode=st.sampled_from(["all", "active_only"]), eta=st.sampled_from([0.1, 2.5]))
+def test_simulate_on_edge_link_specs_exits_cleanly(data, m, T, variant, mode, eta):
+    # Every link spec ends in exit 0, 1 or 2 (divergence: at eta = 2.5 the
+    # 400 steps of a round scale a client's offset by 1.5^400); exit 1 leaves
+    # one `error:` line, and no case leaks a traceback or a numpy warning.
+    spec = data.draw(link_specs(m), label="link")
+    config = (f"experiment = counterexample\nalgorithm = {variant}\nlocal_compute = {mode}\n"
+              f"link = {spec}\nseed = 5\nm = {m}\nd = 2\nT = {T}\ns = 400\neta = {eta}\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(config)
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main(["simulate", "--config", path, "--out", os.path.join(tmp, "run")])
+    assert code in (0, 1, 2), (spec, code)
+    assert not caught, [str(w.message) for w in caught]
+    lines = err.getvalue().splitlines()
+    if code == 1:
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    else:
+        assert lines == [], lines
