@@ -15,11 +15,11 @@ round of a link trace and collects the metrics rows.  A round, in order:
    draw the round's mini-batches and take s gradient steps at a fixed
    step size, all of them in one call of the objective's ``local_steps``
    (on the quadratic, the closed form of the s steps: one affine map).
-4. A finiteness check; a non-finite iterate raises ``DivergedRunError``
-   carrying the rows so far, the diverging round's included.
-5. The server averages the clients whose links were up.  FedPBC then
-   multicasts the new server model to those clients only, overwriting
-   their columns; under FedAvg every column keeps its local result.
+4. The server averages the clients whose links were up, and a non-finite
+   iterate or server model raises ``DivergedRunError`` carrying the rows
+   so far, the diverging round's included.
+5. FedPBC multicasts the new server model to the active clients only,
+   overwriting their columns; under FedAvg every column keeps its own.
 """
 
 from __future__ import annotations
@@ -107,12 +107,14 @@ def _measure(t: int, starts: np.ndarray, objective, active_count: int) -> Metric
                       active_count=active_count)
 
 
-def _check_finite(X: np.ndarray, row: MetricsRow) -> None:
-    if np.isfinite(X).all():
-        return
-    bad = int(np.nonzero(~np.isfinite(X).all(axis=0))[0][0])
-    raise DivergedRunError(f"non-finite iterate at round {row.round}, client {bad}",
-                           round_index=row.round, client=bad, rows=[row])
+def _check_finite(X: np.ndarray, server: np.ndarray, row: MetricsRow) -> None:
+    if not np.isfinite(X).all():
+        bad = int(np.nonzero(~np.isfinite(X).all(axis=0))[0][0])
+        raise DivergedRunError(f"non-finite iterate at round {row.round}, client {bad}",
+                               round_index=row.round, client=bad, rows=[row])
+    if not np.isfinite(server).all():
+        raise DivergedRunError(f"non-finite server model at round {row.round}",
+                               round_index=row.round, rows=[row])
 
 
 def run_round(state: FleetState, active: ActiveSet, cfg: AlgorithmConfig,
@@ -141,9 +143,9 @@ def run_round(state: FleetState, active: ActiveSet, cfg: AlgorithmConfig,
             objective.local_steps(local, batch, cfg.s, cfg.eta)
             if local is not X:
                 X[:, clients] = local
-    _check_finite(X, row)
-    # sum / k is bit for bit the mean of the active columns.
-    new_global = X[:, members].sum(axis=1) / k if k else state.global_model.copy()
+        # sum / k is bit for bit the mean of the active columns.
+        new_global = X[:, members].sum(axis=1) / k if k else state.global_model.copy()
+    _check_finite(X, new_global, row)
     if cfg.variant == "fedpbc":
         X[:, members] = new_global[:, None]  # the postponed multicast
     return FleetState(X=X, global_model=new_global, round=state.round + 1), row

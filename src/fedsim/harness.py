@@ -7,7 +7,8 @@ randomness):
 
     SeededStream(K).child("targets")      quadratic target matrix
     SeededStream(K).child("data")         synthetic dataset generation
-    SeededStream(K).child("sim", "links") per-round link draws
+    SeededStream(K).child("sim", "links", "bern")    link draws, all rounds
+    SeededStream(K).child("sim", "links", "p", <t>)  round t's Zipf vector
     SeededStream(K).child("sim", "batches", <client>)  mini-batch order
 """
 

@@ -115,15 +115,18 @@ def probabilities_at(process, t: int, stream: SeededStream) -> np.ndarray:
     return process.probabilities_at(t, stream)
 
 
-def _draw_active(p: np.ndarray, gen: np.random.Generator) -> ActiveSet:
-    """The Bernoulli draw rule: client i is up when its uniform is below p_i."""
-    return ActiveSet(tuple((gen.random(p.size) < p).nonzero()[0].tolist()))
-
-
 def sample_active_set(p: np.ndarray, t: int, stream: SeededStream) -> ActiveSet:
-    """Independent Bernoulli(p_i) activation per client, addressed by round."""
+    """Round t of ``build_trace``'s draw on ``stream``.  It skips the ``t*m``
+    uniforms before it: ``t*m // 4`` Philox counter steps of four 64-bit
+    words, then ``t*m % 4`` doubles, which ``random`` reads one word each."""
     p = validate_probabilities(p)
-    return _draw_active(p, stream.child("bern", t).generator())
+    if t < 0:
+        raise ConfigError("round index must be >= 0")
+    gen = stream.child("bern").generator()
+    steps, rest = divmod(t * p.size, 4)
+    gen.bit_generator.advance(steps)
+    gen.random(rest)
+    return ActiveSet(tuple((gen.random(p.size) < p).nonzero()[0].tolist()))
 
 
 @dataclass(frozen=True)
@@ -138,25 +141,19 @@ class TraceRound:
 def build_trace(process, T: int, stream: SeededStream) -> List[TraceRound]:
     """Sample a T-round activation trace from ``process``.
 
-    Round t is ``sample_active_set(p_t, t, stream)``, bit for bit: its
-    generator's Philox key comes from ``stream.child_keys``, computed for
-    all rounds at once, and one Philox is set to each round's key with a
-    zero counter in turn.  The same trace can be replayed across
-    algorithms so that comparisons see identical link failures.
+    One generator, ``stream.child("bern")``, draws every round at once:
+    ``up = random((T, m)) < P`` on the T validated probability vectors.
+    Round t reads uniforms ``t*m .. t*m+m-1``, so a shorter trace is a
+    prefix of a longer one.  Every algorithm replays the same trace.
     """
     if T < 1:
         raise ConfigError("trace length must be >= 1")
-    keys = stream.child_keys("bern", T)
-    bits = np.random.Philox(key=keys[0])
-    gen = np.random.Generator(bits)
-    state = bits.state
-    rounds = []
-    for t in range(T):
-        p = validate_probabilities(process.probabilities_at(t, stream))
-        state["state"]["key"] = keys[t]
-        bits.state = state  # a fresh Philox at that key: counter and buffer cleared
-        rounds.append(TraceRound(round=t, p=p, active=_draw_active(p, gen)))
-    return rounds
+    gen = stream.child("bern").generator()
+    P = np.stack([validate_probabilities(process.probabilities_at(t, stream))
+                  for t in range(T)])
+    up = gen.random(P.shape) < P
+    return [TraceRound(round=t, p=p, active=ActiveSet(tuple(row.nonzero()[0].tolist())))
+            for t, (p, row) in enumerate(zip(P, up))]
 
 
 def write_trace_csv(path, trace: Sequence[TraceRound]) -> str:

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from itertools import product
 
@@ -18,7 +19,7 @@ from fedsim.harness import (FIG3_LINK, config_hash, read_metrics_csv, reproduce_
                             reproduce_fig3, run_simulation, write_run_outputs)
 from fedsim.link_model import build_trace, read_trace_csv
 from fedsim.objectives import QuadraticObjective, generate_synthetic, load_dataset_csv
-from fedsim.streams import SeededStream
+from fedsim.streams import GENERATOR_ID, SeededStream
 
 FAST_COUNTEREXAMPLE = """
 experiment = counterexample
@@ -86,9 +87,19 @@ def test_simulate_writes_metrics_and_manifest(tmp_path):
     assert manifest["completed"] is True
     assert manifest["root_seed"] == 3
     assert manifest["end_round"] == 40
+    assert manifest["prng"] == f"{GENERATOR_ID}; numpy {np.__version__}"
     # manifest embeds the canonical config: it is sufficient to re-execute
     again = parse_config(manifest["config_text"])
     assert config_hash(again) == manifest["config_hash"]
+
+
+def test_generator_id_names_the_link_draw_rule():
+    # Pinned together: a new link draw rule changes these members, and the
+    # GENERATOR_ID that every manifest records must then name that rule.
+    trace = build_trace(make_link_process("uniform:0.5", 4), 4, SeededStream(0).child("links"))
+    assert [r.active.members for r in trace] == [(2,), (), (1,), (0, 2)]
+    assert GENERATOR_ID.endswith("link round t of m clients reads uniforms t*m..t*m+m-1 "
+                                 "of one 'bern' stream")
 
 
 def test_simulate_byte_identical_reruns(tmp_path):
@@ -138,6 +149,23 @@ def test_divergent_run_keeps_partial_csv(tmp_path):
     assert manifest["failure_round"] is not None
     rows = read_metrics_csv(out_dir / "metrics.csv")
     assert len(rows) == manifest["end_round"]
+
+
+def test_overflowing_server_model_diverges_at_its_round(tmp_path):
+    # Each client's one step lands finite (near 6.9e307 and 1.4e308), but
+    # their sum overflows: the run ends at round 0, without numpy's warning,
+    # before the infinite server model is multicast.
+    text = ("experiment = counterexample\nalgorithm = fedpbc\nlink = uniform:1\nseed = 5\n"
+            "m = 2\nd = 1\nT = 3\ns = 1\neta = 7e307\n")
+    cfg_path = write_config(tmp_path, text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    manifest = manifest_without_walltime(tmp_path / "o" / "manifest.json")
+    assert manifest["failure_round"] == 0 and manifest["end_round"] == 1
+    rows = read_metrics_csv(tmp_path / "o" / "metrics.csv")
+    assert len(rows) == 1 and math.isfinite(rows[0].grad_norm)
 
 
 def test_metrics_schema_is_stable(tmp_path):

@@ -115,18 +115,31 @@ def test_sample_active_set_rejects_invalid_probabilities(p):
         sample_active_set(np.array(p), 0, SeededStream(1).child("links"))
 
 
+def test_sample_active_set_rejects_negative_round():
+    # A negative skip would wrap Philox's counter around rather than fail.
+    with pytest.raises(ConfigError, match="round index"):
+        sample_active_set(np.array([0.5, 0.5]), -1, SeededStream(1).child("links"))
+
+
 def test_sample_active_set_is_deterministic_per_round():
     a = sample_active_set(np.array([0.4, 0.6]), 9, SeededStream(8).child("links"))
     b = sample_active_set(np.array([0.4, 0.6]), 9, SeededStream(8).child("links"))
     assert a == b
 
 
-@pytest.mark.parametrize("process", [StaticLinkProcess([0.3, 1.0, 0.05, 0.9, 0.5]),
-                                     ZipfCountLinkProcess(a=3.0, n=500, floor=0.1, m=5)],
-                         ids=["static", "zipf"])
-def test_build_trace_is_sample_active_set_per_round(process):
-    # build_trace derives every round's key at once; the draws must be the
-    # ones each round's own generator gives.
+def link_process(kind: str, m: int):
+    if kind == "static":
+        return StaticLinkProcess(np.linspace(0.05, 1.0, m)[::-1])
+    return ZipfCountLinkProcess(a=3.0, n=500, floor=0.1, m=m)
+
+
+# m = 5 leaves a remainder of t*m uniforms in the Philox counter step
+# sample_active_set skips to; m = 8 is always aligned to a whole step.
+@pytest.mark.parametrize("kind, m", [
+    pytest.param("static", 5, id="static"), pytest.param("zipf", 5, id="zipf"),
+    pytest.param("static", 8, id="static-m8"), pytest.param("zipf", 8, id="zipf-m8")])
+def test_build_trace_is_sample_active_set_per_round(kind, m):
+    process = link_process(kind, m)
     trace = build_trace(process, 60, SeededStream(21).child("links"))
     fresh = SeededStream(21).child("links")
     assert len(trace) == 60
@@ -134,6 +147,28 @@ def test_build_trace_is_sample_active_set_per_round(process):
         assert row.round == t
         assert np.array_equal(row.p, process.probabilities_at(t, fresh))
         assert row.active == sample_active_set(row.p, t, fresh)
+
+
+@pytest.mark.parametrize("kind", ["static", "zipf"])
+def test_build_trace_is_one_draw_of_every_round(kind):
+    process = link_process(kind, 6)
+    T = 40
+    trace = build_trace(process, T, SeededStream(22).child("links"))
+    fresh = SeededStream(22).child("links")
+    P = np.stack([process.probabilities_at(t, fresh) for t in range(T)])
+    up = fresh.child("bern").generator().random((T, 6)) < P
+    assert [row.active.members for row in trace] == \
+        [tuple(np.flatnonzero(mask).tolist()) for mask in up]
+    assert np.array_equal(np.stack([row.p for row in trace]), P)
+
+
+@pytest.mark.parametrize("kind", ["static", "zipf"])
+def test_shorter_trace_is_a_prefix_of_a_longer_one(kind):
+    process = link_process(kind, 7)
+    short = build_trace(process, 30, SeededStream(23).child("links"))
+    long = build_trace(process, 37, SeededStream(23).child("links"))
+    assert [r.active for r in short] == [r.active for r in long[:30]]
+    assert all(np.array_equal(a.p, b.p) for a, b in zip(short, long))
 
 
 def test_build_trace_on_a_stream_with_a_generator_raises():
