@@ -168,16 +168,17 @@ def main(argv=None) -> int:
             return 0
         if args.command == "gendata":
             check_seed(args.seed)
+            # The ("data",) child, as in build_objective: the run's own dataset.
             dataset = generate_synthetic(args.alpha, args.beta, args.m, args.samples,
-                                         SeededStream(args.seed))
+                                         SeededStream(args.seed).child("data"))
             save_dataset_csv(args.out, dataset)
             return 0
     except (FedsimError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except MemoryError as err:
-        # A refused allocation (say, a Zipf draw count or a dataset sized past
-        # the host) leaves the process usable enough to say so.
+        # A refused allocation (say, a dataset sized past the host) leaves the
+        # process usable enough to say so.
         print(f"error: out of memory: {str(err) or 'allocation refused'}", file=sys.stderr)
         return 1
     raise AssertionError("unreachable")  # pragma: no cover

@@ -19,7 +19,8 @@ Link specs:
     static:P0,P1,...   per-client probabilities (must match m)
     halves:P0,P1       first m//2 clients get P0, the rest P1
     uniform:P          one probability for everyone
-    zipf:A,N,FLOOR     per-round Zipf-count schedule clipped to [FLOOR, 1]
+    zipf:A,N,FLOOR     Zipf-count schedule clipped to [FLOOR, 1]; one multinomial
+                       draw of N per round, 1 <= N <= 2**63 - 1
 """
 
 from __future__ import annotations
@@ -72,6 +73,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         """Every rule a run's inputs must meet, so no invalid config exists."""
+        if "\0" in self.out:  # the other strings meet grammars that admit no NUL
+            raise ConfigError("key 'out' must not contain a NUL character")
         if self.experiment not in EXPERIMENTS:
             raise _UnknownExperiment(f"experiment must be one of {EXPERIMENTS}")
         self.algorithm_config()
@@ -125,6 +128,8 @@ def parse_config(text: str) -> ExperimentConfig:
     for key, (lineno, raw) in seen.items():
         kind = _KEY_TYPES[key]
         try:
+            if kind is not str and "_" in raw:  # int() and float() accept digit separators
+                raise ValueError
             keys[key] = kind(raw)
         except ValueError:
             raise ConfigError(f"line {lineno}: key '{key}' expects {_EXPECTS[kind]}, "

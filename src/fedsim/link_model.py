@@ -1,18 +1,16 @@
 """Per-round link activation probabilities and active-set sampling.
 
-A link process emits, for each round t, the vector of probabilities that
-each client's uplink to the server is usable that round.  Two variants
+A link process gives, as one ``(T, m)`` matrix, the probability that each
+client's uplink to the server is usable in each of T rounds.  Two variants
 are supported: a static per-client vector and a time-varying heavy-tailed
-schedule in which each round draws ``n`` ranks from a Zipf distribution,
-counts how many landed on each client's rank (ranks above ``m`` are drawn
-and dropped), normalizes the counts over the clients, and clips the result
-into ``[floor, 1]`` (no re-normalization afterwards, so the entries need
-not sum to anything in particular).
+schedule in which each round counts ``n`` Zipf ranks per client's rank
+(ranks above ``m`` are drawn and dropped), normalizes the counts over the
+clients, and clips the result into ``[floor, 1]`` (no re-normalization
+afterwards, so the entries need not sum to anything in particular).
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import operator
 from dataclasses import dataclass
@@ -49,21 +47,14 @@ class ActiveSet:
         return len(self.members)
 
 
-@functools.lru_cache(maxsize=8)
-def _zipf_cdf(a: float, m: int) -> np.ndarray:
-    """The read-only table ``P(Z <= k)``, k = 1..m, of Zipf(a), built once
-    per ``(a, m)``; only the fleet's ranks are tabulated."""
-    from scipy.special import zeta  # only a zipf link pays for the import
-    cdf = np.cumsum(np.arange(1, m + 1, dtype=float) ** -a / float(zeta(a, 1)))
-    cdf.flags.writeable = False
-    return cdf
-
-
 class StaticLinkProcess:
     """Fixed per-client activation probabilities."""
 
     def __init__(self, p: Sequence[float]):
         self.p = validate_probabilities(p)
+
+    def probabilities(self, T: int, stream: SeededStream) -> np.ndarray:
+        return np.tile(self.p, (T, 1))
 
     def probabilities_at(self, t: int, stream: SeededStream) -> np.ndarray:
         if t < 0:
@@ -74,21 +65,21 @@ class StaticLinkProcess:
 class ZipfCountLinkProcess:
     """Heavy-tailed, time-varying activation probabilities.
 
-    Each round draws ``n`` i.i.d. Zipf(a) ranks, ``P(Z=k) = k^-a / zeta(a)``,
-    by inverse CDF over ranks ``1..m``; a draw past ``P(Z <= m)`` is a rank
-    above ``m`` and is dropped.  The raw weight of client i is the number of
-    draws equal to rank i+1, normalized by the total weight over the m
-    clients (all zeros if no draw landed in the fleet), then clipped
-    entry-wise into ``[floor, 1]``.  Requires ``a > 1`` (NaN rejected),
-    ``n >= 1`` and ``floor`` in (0, 1).  Rounds use distinct stream paths,
-    so the vectors at distinct rounds are independent.
+    Round t's raw weight of client i is the count of rank i+1 among ``n``
+    i.i.d. Zipf(a) ranks, ``P(Z=k) = k^-a / zeta(a)`` (a rank above ``m`` is
+    drawn and dropped), normalized over the m clients (all zeros if no draw
+    landed in the fleet), then clipped entry-wise into ``[floor, 1]``.  The
+    T rounds are the rows of one ``multinomial(n, pvals, size=T)`` call on
+    ``stream.child("p")``, which numpy draws row by row.  Requires ``a > 1``
+    (NaN rejected), ``1 <= n <= 2**63 - 1`` (numpy's multinomial domain)
+    and ``floor`` in (0, 1).
     """
 
     def __init__(self, a: float, n: int, floor: float, m: int):
         if m < 1:
             raise ConfigError("client count must be >= 1")
-        if n < 1:
-            raise ConfigError("zipf sample count must be >= 1")
+        if not (1 <= n <= 2**63 - 1):
+            raise ConfigError(f"zipf sample count must lie in [1, 2**63 - 1], got {n}")
         if not (0.0 < floor < 1.0):
             raise ConfigError("floor must lie in (0, 1)")
         if not (a > 1.0):
@@ -98,16 +89,20 @@ class ZipfCountLinkProcess:
         self.floor = float(floor)
         self.m = int(m)
 
+    def probabilities(self, T: int, stream: SeededStream) -> np.ndarray:
+        from scipy.special import zeta  # only a zipf link pays for the import
+        pvals = np.arange(1, self.m + 1, dtype=float) ** -self.a / float(zeta(self.a, 1))
+        # numpy takes the last cell as the leftover mass, the ranks beyond the fleet.
+        counts = stream.child("p").generator().multinomial(
+            self.n, np.append(pvals, 0.0), size=T)[:, :self.m]
+        total = counts.sum(axis=1, keepdims=True)
+        raw = np.divide(counts, total, out=np.zeros(counts.shape), where=total > 0)
+        return np.clip(raw, self.floor, 1.0)
+
     def probabilities_at(self, t: int, stream: SeededStream) -> np.ndarray:
         if t < 0:
             raise ConfigError("round index must be >= 0")
-        gen = stream.child("p", t).generator()
-        # Index k < m is rank k+1; index m is any rank beyond the fleet.
-        ranks = np.searchsorted(_zipf_cdf(self.a, self.m), gen.random(self.n), side="right")
-        counts = np.bincount(ranks, minlength=self.m + 1)[:self.m].astype(float)
-        total = counts.sum()
-        raw = counts / total if total > 0 else np.zeros(self.m)
-        return np.clip(raw, self.floor, 1.0)
+        return self.probabilities(t + 1, stream)[t]
 
 
 def probabilities_at(process, t: int, stream: SeededStream) -> np.ndarray:
@@ -141,16 +136,17 @@ class TraceRound:
 def build_trace(process, T: int, stream: SeededStream) -> List[TraceRound]:
     """Sample a T-round activation trace from ``process``.
 
-    One generator, ``stream.child("bern")``, draws every round at once:
-    ``up = random((T, m)) < P`` on the T validated probability vectors.
-    Round t reads uniforms ``t*m .. t*m+m-1``, so a shorter trace is a
-    prefix of a longer one.  Every algorithm replays the same trace.
+    One call, ``process.probabilities(T, stream)``, gives the ``(T, m)``
+    matrix ``P``, and one generator, ``stream.child("bern")``, draws every
+    round at once: ``up = random((T, m)) < P``.  Round t reads uniforms
+    ``t*m .. t*m+m-1``, so a shorter trace is a prefix of a longer one.
+    Every algorithm replays the same trace.
     """
     if T < 1:
         raise ConfigError("trace length must be >= 1")
     gen = stream.child("bern").generator()
-    P = np.stack([validate_probabilities(process.probabilities_at(t, stream))
-                  for t in range(T)])
+    P = process.probabilities(T, stream)
+    validate_probabilities(P.ravel())
     up = gen.random(P.shape) < P
     return [TraceRound(round=t, p=p, active=ActiveSet(tuple(row.nonzero()[0].tolist())))
             for t, (p, row) in enumerate(zip(P, up))]

@@ -20,9 +20,10 @@ import hashlib
 import numpy as np
 
 # Recorded in run manifests so the generator backing a run is auditable:
-# the stream rule, then the link-draw rule (``link_model.build_trace``).
+# the stream rule, then the link-draw rules (``link_model.build_trace``).
 GENERATOR_ID = ("numpy.random.Philox(4x64) via SeedSequence(root_seed, spawn_key=sha256(path)); "
-                "link round t of m clients reads uniforms t*m..t*m+m-1 of one 'bern' stream")
+                "link round t of m clients reads uniforms t*m..t*m+m-1 of one 'bern' stream; "
+                "zipf p rounds are the rows of one multinomial(n, pvals, size=T) on one 'p' stream")
 
 # Root seeds are the integers in [0, MAX_SEED).
 MAX_SEED = 2**64

@@ -83,6 +83,18 @@ def test_malformed_number_names_key_and_line(key):
         parse_config(text)
 
 
+@pytest.mark.parametrize("key, raw", [("eta", "0_1"), ("seed", "1_0"), ("m", "1_000"),
+                                      ("alpha", "1_0.5")])
+def test_numbers_with_digit_separators_name_key_and_line(key, raw):
+    # Python's int() and float() read "0_1" as 1 and "1_0" as 10.
+    text = MINIMAL_SYNTHETIC.replace("seed = 11\n", "") + f"{key} = {raw}\n"
+    if key != "seed":
+        text += "seed = 11\n"
+    line = text.splitlines().index(f"{key} = {raw}") + 1
+    with pytest.raises(ConfigError, match=rf"^line {line}: key '{key}' expects .*'{raw}'"):
+        parse_config(text)
+
+
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])
 def test_seed_outside_64_bits_rejected(seed):
     with pytest.raises(ConfigError, match="'seed'"):
@@ -194,6 +206,10 @@ def test_link_process_factory_rejects_empty_static_entry(spec):
     ("seed", 2**64, "key 'seed'"),
     ("link", "uniform:0", r"\(0, 1\]"),
     ("link", "halves:0.9", "two probabilities"),
+    ("link", "zipf:3,20\0,0.1", "bad zipf link spec"),
+    ("experiment", "synthetic\0", "experiment must be one of"),
+    ("out", "a\0b", "key 'out' must not contain a NUL"),
+    ("link", f"zipf:3,{2**63},0.1", "zipf sample count"),
 ])
 def test_experiment_config_validates_when_built_or_replaced(field, value, message):
     valid = parse_config(MINIMAL_COUNTEREXAMPLE)

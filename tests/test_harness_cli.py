@@ -15,8 +15,8 @@ import fedsim
 from fedsim.cli import build_parser, main
 from fedsim.config import make_link_process, parse_config, reference_config
 from fedsim.errors import ConfigError
-from fedsim.harness import (FIG3_LINK, config_hash, read_metrics_csv, reproduce_fig2,
-                            reproduce_fig3, run_simulation, write_run_outputs)
+from fedsim.harness import (FIG3_LINK, build_objective, config_hash, read_metrics_csv,
+                            reproduce_fig2, reproduce_fig3, run_simulation, write_run_outputs)
 from fedsim.link_model import build_trace, read_trace_csv
 from fedsim.objectives import QuadraticObjective, generate_synthetic, load_dataset_csv
 from fedsim.streams import GENERATOR_ID, SeededStream
@@ -98,8 +98,12 @@ def test_generator_id_names_the_link_draw_rule():
     # GENERATOR_ID that every manifest records must then name that rule.
     trace = build_trace(make_link_process("uniform:0.5", 4), 4, SeededStream(0).child("links"))
     assert [r.active.members for r in trace] == [(2,), (), (1,), (0, 2)]
+    zipf = build_trace(make_link_process("zipf:3,30,0.1", 4), 3, SeededStream(0).child("links"))
+    assert [r.p.tolist() for r in zipf] == [[28 / 30, 0.1, 0.1, 0.1], [22 / 29, 6 / 29, 0.1, 0.1],
+                                            [28 / 30, 0.1, 0.1, 0.1]]
     assert GENERATOR_ID.endswith("link round t of m clients reads uniforms t*m..t*m+m-1 "
-                                 "of one 'bern' stream")
+                                 "of one 'bern' stream; zipf p rounds are the rows of one "
+                                 "multinomial(n, pvals, size=T) on one 'p' stream")
 
 
 def test_simulate_byte_identical_reruns(tmp_path):
@@ -319,6 +323,28 @@ def run_python(code):
                           text=True, timeout=120)
 
 
+def test_simulate_rejects_a_zipf_draw_count_beyond_int64(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, FAST_SYNTHETIC.replace("zipf:3,2000,", f"zipf:3,{2**63},"))
+    err = assert_cli_error(capsys, ["simulate", "--config", str(cfg_path),
+                                    "--out", str(tmp_path / "run")])
+    assert len(err.splitlines()) == 1 and "zipf sample count" in err
+
+
+def test_simulate_runs_the_largest_zipf_draw_count(tmp_path):
+    # One multinomial draw per round: n costs neither time nor memory.
+    cfg_path = write_config(tmp_path, FAST_SYNTHETIC.replace("zipf:3,2000,", f"zipf:3,{2**63 - 1},")
+                            .replace("T = 12", "T = 3"))
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 0
+    assert len(read_metrics_csv(tmp_path / "run" / "metrics.csv")) == 3
+
+
+def test_simulate_rejects_a_nul_in_a_config_string(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, FAST_COUNTEREXAMPLE.format(alg="fedavg", seed=1)
+                            + f"out = {tmp_path}/a\0b\n")
+    err = assert_cli_error(capsys, ["simulate", "--config", str(cfg_path)])
+    assert err == "error: key 'out' must not contain a NUL character\n"
+
+
 def test_only_a_zipf_link_imports_scipy_special(tmp_path):
     counterexample = write_config(tmp_path, FAST_COUNTEREXAMPLE.format(alg="fedavg", seed=1),
                                   "halves.cfg")
@@ -497,9 +523,9 @@ def test_non_utf8_input_is_one_config_error_naming_the_path(tmp_path, capsys, ki
     ("generate_synthetic", GENDATA + ["--seed", "1", "--out", "{tmp}/g.csv"]),
 ], ids=["simulate", "gendata"])
 def test_cli_out_of_memory_is_an_error_line(tmp_path, capsys, monkeypatch, target, argv):
-    # A huge Zipf draw count, samples_per_client or --samples ends in a refused
-    # allocation.  It is raised here, not provoked: a host that overcommits
-    # memory may kill the process instead of refusing it.
+    # A huge samples_per_client or --samples ends in a refused allocation (a
+    # Zipf draw count allocates nothing).  It is raised here, not provoked: a
+    # host that overcommits memory may kill the process instead of refusing it.
     write_config(tmp_path, FAST_COUNTEREXAMPLE.format(alg="fedavg", seed=1), "run.cfg")
     numpy_message = "Unable to allocate 7.28 TiB for an array with shape (10**12,)"
     for message, shown in [(numpy_message, numpy_message), ("", "allocation refused")]:
@@ -517,6 +543,20 @@ def test_gendata_cli_roundtrip(tmp_path):
                  "--seed", "21", "--samples", "12", "--out", str(out)]) == 0
     ds = load_dataset_csv(out)
     assert ds.num_clients == 3 and ds.seed == 21
+
+
+def test_gendata_writes_the_dataset_simulate_trains_on(tmp_path):
+    out = tmp_path / "data.csv"
+    assert main(["gendata", "--alpha", "0.5", "--beta", "2", "--m", "3",
+                 "--seed", "21", "--samples", "12", "--out", str(out)]) == 0
+    cfg = reference_config("synthetic", "fedavg", "uniform:0.5", 21, m=3, alpha=0.5, beta=2.0,
+                           samples_per_client=12)
+    run = build_objective(cfg, SeededStream(cfg.seed)).dataset
+    saved = load_dataset_csv(out)
+    assert saved.seed == run.seed and saved.num_clients == run.num_clients
+    for a, b in zip(saved.clients, run.clients):
+        assert np.array_equal(a.train_x, b.train_x) and np.array_equal(a.train_y, b.train_y)
+        assert np.array_equal(a.test_x, b.test_x) and np.array_equal(a.test_y, b.test_y)
 
 
 def test_reproduce_fig2_smoke(tmp_path):

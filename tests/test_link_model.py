@@ -1,12 +1,12 @@
 import hashlib
-import math
 
 import numpy as np
 import pytest
 from scipy.special import zeta
+from scipy.stats import binom, chisquare
 
 from fedsim.errors import ConfigError
-from fedsim.link_model import (ActiveSet, StaticLinkProcess, ZipfCountLinkProcess, _zipf_cdf,
+from fedsim.link_model import (ActiveSet, StaticLinkProcess, ZipfCountLinkProcess,
                                build_trace, probabilities_at, read_trace_csv,
                                sample_active_set, write_trace_csv)
 from fedsim.streams import SeededStream
@@ -24,29 +24,67 @@ def test_static_process_returns_fixed_vector():
     assert np.array_equal(p, np.ones(3))
 
 
-def full_table_zipf_counts(a: float, n: int, m: int, gen: np.random.Generator) -> np.ndarray:
-    """Per-rank counts of ranks 1..m among n Zipf(a) draws, from an
-    inverse-CDF table reaching a 1e-12 tail mass (draws past it clamp to
-    its last rank).  This is an independent oracle for the m-rank table."""
-    z = float(zeta(a, 1))
-    support = math.ceil(((a - 1.0) * z * 1e-12) ** (-1.0 / (a - 1.0)))
-    cdf = np.cumsum(np.arange(1, support + 1, dtype=float) ** -a / z)
-    ranks = np.minimum(np.searchsorted(cdf, gen.random(n), side="right"), support - 1) + 1
-    return np.bincount(ranks, minlength=m + 1)[1:m + 1]
-
-
 @pytest.mark.parametrize("a", [3.0, 5.0, 10.0, 40.0])
 @pytest.mark.parametrize("m", [1, 2, 30, 150])
-def test_zipf_counts_match_the_full_table_oracle(a, m):
+def test_zipf_rows_match_the_literal_multinomial_rule(a, m):
     # floor below 1/n, so clipping lifts only zero counts and p fixes the counts.
-    n, floor = 5000, 1e-9
+    n, floor, T = 5000, 1e-9, 4
+    pvals = np.arange(1, m + 1, dtype=float) ** -a / zeta_partial_sum(a)
+    counts = SeededStream(41).child("links").child("p").generator().multinomial(
+        n, np.append(pvals, max(0.0, 1.0 - pvals.sum())), size=T)[:, :m]
+    expected = np.clip(counts / counts.sum(axis=1, keepdims=True), floor, 1.0)
     proc = ZipfCountLinkProcess(a=a, n=n, floor=floor, m=m)
-    stream = SeededStream(41).child("links")
-    for t in range(4):
-        counts = full_table_zipf_counts(a, n, m, stream.child("p", t).generator())
-        total = counts.sum()
-        expected = np.clip(counts / total if total > 0 else np.zeros(m), floor, 1.0)
-        assert np.array_equal(proc.probabilities_at(t, stream), expected)
+    assert np.array_equal(proc.probabilities(T, SeededStream(41).child("links")), expected)
+
+
+class RecordingStream:
+    """Stands in for the stream a process draws from, and keeps what each
+    ``multinomial`` call on a child's generator returned."""
+
+    def __init__(self, stream):
+        self.stream, self.draws = stream, []
+
+    def child(self, *labels):
+        self.labels = labels
+        return self
+
+    def generator(self):
+        return self
+
+    def multinomial(self, *args, **kwargs):
+        gen = self.stream.child(*self.labels).generator()
+        self.draws.append((self.labels, gen.multinomial(*args, **kwargs)))
+        return self.draws[-1][1]
+
+
+def binomial_gof_pvalue(samples: np.ndarray, n: int, p: float) -> float:
+    """Chi-square test of integer samples against Binomial(n, p), with the
+    tails pooled into the outermost bins expecting at least 5 samples."""
+    observed = np.bincount(samples, minlength=n + 1).astype(float)
+    expected = binom.pmf(np.arange(n + 1), n, p) * samples.size
+    lo, hi = np.flatnonzero(expected >= 5)[[0, -1]]
+
+    def pool(x):
+        return np.concatenate([[x[:lo + 1].sum()], x[lo + 1:hi], [x[hi:].sum()]])
+    return float(chisquare(pool(observed), pool(expected)).pvalue)
+
+
+def test_zipf_counts_follow_the_exact_binomial_marginals():
+    # a = 2 has zeta(2) = pi^2/6 in closed form; at m = 5 an eleventh of the
+    # mass lies beyond the fleet, so numpy's leftover cell is exercised.
+    # Each of the m + 1 cells is tested at level 1e-4, 6e-4 for the family.
+    n, m, T = 40, 5, 4000
+    pvals = 6.0 / (np.pi ** 2 * np.arange(1, m + 1) ** 2)
+    pvals = np.append(pvals, 1.0 - pvals.sum())
+    stream = RecordingStream(SeededStream(61).child("links"))
+    p = ZipfCountLinkProcess(a=2.0, n=n, floor=1e-9, m=m).probabilities(T, stream)
+    ((labels, counts),) = stream.draws
+    assert labels == ("p",)
+    assert counts.shape == (T, m + 1) and np.all(counts.sum(axis=1) == n)
+    raw = counts[:, :m] / counts[:, :m].sum(axis=1, keepdims=True)
+    assert np.array_equal(p, np.clip(raw, 1e-9, 1.0))
+    for k in range(m + 1):
+        assert binomial_gof_pvalue(counts[:, k], n, pvals[k]) > 1e-4, k
 
 
 def test_zipf_rank_one_probability_matches_zeta():
@@ -88,7 +126,7 @@ def test_zipf_count_process_respects_floor_and_cap():
 def test_zipf_count_rounds_are_independent():
     proc = ZipfCountLinkProcess(a=3.0, n=2000, floor=0.1, m=10)
     stream = SeededStream(33).child("links")
-    series = np.array([proc.probabilities_at(t, stream)[0] for t in range(10_000)])
+    series = proc.probabilities(10_000, stream)[:, 0]
     # lag-1 autocorrelation of the first client's probability
     x = series - series.mean()
     autocorr = float(np.dot(x[:-1], x[1:]) / np.dot(x, x))
@@ -261,20 +299,3 @@ def test_trace_rejects_malformed_fields(tmp_path):
             read_trace_csv(write_rows(tmp_path / "t.csv", ["0,0,0.5,1", row]))
     with pytest.raises(ConfigError):
         read_trace_csv(write_rows(tmp_path / "t.csv", ["0,0,0.5,1"], header="round,client,p"))
-
-
-def test_zipf_processes_share_one_read_only_table():
-    from fedsim.config import make_link_process
-    first = make_link_process("zipf:3,20000,0.1", 30)
-    second = make_link_process("zipf:3,500,0.2", 30)
-    stream = SeededStream(2).child("links")
-    first.probabilities_at(0, stream)
-    second.probabilities_at(0, stream)
-    table = _zipf_cdf(3.0, 30)
-    assert table.shape == (30,)
-    assert _zipf_cdf(first.a, first.m) is table is _zipf_cdf(second.a, second.m)
-    assert not table.flags.writeable
-    with pytest.raises(ValueError):
-        table[0] = 0.0
-    # A shorter fleet's table is a bitwise prefix of a longer one's.
-    assert np.array_equal(_zipf_cdf(3.0, 150)[:30], table)
