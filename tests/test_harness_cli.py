@@ -1,4 +1,5 @@
 import filecmp
+import hashlib
 import json
 import math
 import os
@@ -7,18 +8,22 @@ import sys
 import warnings
 from dataclasses import replace
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import fedsim
+from fedsim.algorithms import MetricsRow
 from fedsim.cli import build_parser, main
 from fedsim.config import make_link_process, parse_config, reference_config
 from fedsim.errors import ConfigError
-from fedsim.harness import (FIG3_LINK, build_objective, config_hash, read_metrics_csv,
-                            reproduce_fig2, reproduce_fig3, run_simulation, write_run_outputs)
-from fedsim.link_model import build_trace, read_trace_csv
-from fedsim.objectives import QuadraticObjective, generate_synthetic, load_dataset_csv
+from fedsim.harness import (FIG3_LINK, RunOutput, build_objective, config_hash,
+                            read_metrics_csv, reproduce_fig2, reproduce_fig3, run_simulation,
+                            write_metrics_csv, write_run_outputs)
+from fedsim.link_model import ActiveSet, TraceRound, build_trace, read_trace_csv, write_trace_csv
+from fedsim.objectives import (ClientData, FederatedDataset, QuadraticObjective,
+                               generate_synthetic, load_dataset_csv, save_dataset_csv)
 from fedsim.streams import GENERATOR_ID, SeededStream
 
 FAST_COUNTEREXAMPLE = """
@@ -618,3 +623,88 @@ def test_reproduce_fig3_smoke(tmp_path, monkeypatch):
     write_run_outputs(tmp_path / "alone", alone, name="fedpbc")
     assert filecmp.cmp(tmp_path / "alone" / "fedpbc_metrics.csv",
                        tmp_path / "fig3" / "fedpbc_metrics.csv", shallow=False)
+
+
+# Every file kind written from literal inputs, against its exact bytes.  No
+# number here comes out of a BLAS call, so the bytes hold on any host.
+
+def test_metrics_file_bytes(tmp_path):
+    path = tmp_path / "metrics.csv"
+    write_metrics_csv(path, [MetricsRow(0, 1.5, 0.25, 2.0, None, 3),
+                             MetricsRow(1, 0.1, 1e-300, -0.0, 0.875, 0)])
+    assert path.read_bytes() == (
+        b"round,grad_norm,consensus_error,train_loss,test_accuracy,active_count\n"
+        b"0,1.5,0.25,2,,3\n"
+        b"1,0.10000000000000001,1e-300,-0,0.875,0\n")
+
+
+def test_trace_file_bytes(tmp_path):
+    path = tmp_path / "trace.csv"
+    digest = write_trace_csv(path, [
+        TraceRound(round=0, p=np.array([0.5, 0.1]), active=ActiveSet((1,))),
+        TraceRound(round=1, p=np.array([1.0, 0.25]), active=ActiveSet(()))])
+    assert path.read_bytes() == (b"round,client,p,active\n"
+                                 b"0,0,0.5,0\n0,1,0.10000000000000001,1\n"
+                                 b"1,0,1,0\n1,1,0.25,0\n")
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_comparison_file_bytes(tmp_path, monkeypatch):
+    # One grid pair; FedAvg diverges (an empty distance), FedPBC ends 12 from
+    # the predicted point, which lies 5 from the optimum.
+    class Weights:
+        def limit_point(self, targets):
+            return np.array([3.0, 0.0])
+
+    class Objective:
+        targets = None
+
+        def global_optimum(self):
+            return np.array([0.0, 4.0])
+
+    def run(cfg, *, objective, trace, trace_sha):
+        if cfg.algorithm == "fedavg":
+            return RunOutput(None, [MetricsRow(0, 0.5, 0.0, 1.0, None, 2)], {}, 2)
+        final = SimpleNamespace(final_state=SimpleNamespace(global_model=np.array([3.0, 12.0])))
+        return RunOutput(final, [MetricsRow(0, 0.1, 0.0, 1.0, None, 2)], {}, 0)
+
+    monkeypatch.setattr("fedsim.harness.FIG2_GRID", ((0.9, 0.5),))
+    monkeypatch.setattr("fedsim.harness.build_objective", lambda cfg, root: Objective())
+    monkeypatch.setattr("fedsim.harness.fedavg_limit_integral", lambda p: Weights())
+    monkeypatch.setattr("fedsim.harness.run_simulation", run)
+    result = reproduce_fig2(0.1, tmp_path, seed=3)
+    assert (tmp_path / "comparison.csv").read_bytes() == (
+        b"p0,p1,algorithm,local_compute,final_grad_norm,oracle_gap,"
+        b"final_global_distance_to_prediction\n"
+        b"0.90000000000000002,0.5,fedavg,all,0.5,5,\n"
+        b"0.90000000000000002,0.5,fedavg,active_only,0.5,5,\n"
+        b"0.90000000000000002,0.5,fedpbc,all,0.10000000000000001,5,12\n"
+        b"0.90000000000000002,0.5,fedpbc,active_only,0.10000000000000001,5,12\n")
+    assert result["summary"][0] == {
+        "p0": 0.9, "p1": 0.5, "algorithm": "fedavg", "local_compute": "all",
+        "final_grad_norm": 0.5, "oracle_gap": 5.0, "final_global_distance_to_prediction": None}
+
+
+def test_dataset_file_bytes(tmp_path):
+    path = tmp_path / "data.csv"
+    save_dataset_csv(path, FederatedDataset(
+        clients=[ClientData(train_x=np.full((1, 60), 0.5), train_y=np.array([3]),
+                            test_x=np.array([[-1.0] * 59 + [0.1]]), test_y=np.array([9]))],
+        alpha=1.0, beta=0.25, seed=7))
+    assert path.read_bytes() == (
+        b"synthetic-v1,1,0.25,1,7\n"
+        + b"0,train,3," + b",".join([b"0.5"] * 60) + b"\n"
+        + b"0,test,9," + b",".join([b"-1"] * 59) + b",0.10000000000000001\n")
+
+
+def test_manifest_file_bytes(tmp_path):
+    manifest = {"artifact": "fedsim 0.1.0", "root_seed": 7, "completed": False,
+                "failure_round": None, "trace_sha256": None, "wall_time_sec": 0.1}
+    paths = write_run_outputs(tmp_path, RunOutput(None, [], manifest, 2), name="x")
+    assert paths == {"metrics": str(tmp_path / "x_metrics.csv"),
+                     "manifest": str(tmp_path / "x_manifest.json")}
+    assert (tmp_path / "x_manifest.json").read_bytes() == (
+        b'{\n  "artifact": "fedsim 0.1.0",\n  "root_seed": 7,\n  "completed": false,\n'
+        b'  "failure_round": null,\n  "trace_sha256": null,\n  "wall_time_sec": 0.1\n}\n')
+    assert (tmp_path / "x_metrics.csv").read_bytes() == (
+        b"round,grad_norm,consensus_error,train_loss,test_accuracy,active_count\n")
