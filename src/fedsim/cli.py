@@ -1,12 +1,14 @@
 """Command-line interface.
 
 Subcommands: simulate, reproduce-fig2, reproduce-fig3, mixing, oracle,
-gendata.  All file output is UTF-8.  CSV files write reals at 17
-significant digits; JSON files (``manifest.json``, ``summary.json``) and
-the ``mixing``/``oracle`` JSON lines write Python's shortest round-trip
-repr (``0.875``, ``0.5000000000000001``).  Both forms are lossless.
-Invalid input, file-system errors and a refused allocation end in one
-``error:`` line and exit code 1.
+gendata.  Every output file is UTF-8, from one writer (``numerics``).  CSV
+files write reals at 17 significant digits; JSON files (``manifest.json``,
+``summary.json``) and the ``mixing``/``oracle`` JSON lines write Python's
+shortest round-trip repr (``0.875``, ``0.5000000000000001``).  Both forms
+are lossless.  A number in a flag, a file or FEDSIM_SEED must not use
+Python's ``_`` digit separator.  Invalid input, file-system errors and a
+refused allocation end in one ``error:`` line and exit code 1; a malformed
+flag ends in a usage error and exit code 2.
 The FEDSIM_SEED environment variable overrides the config seed for
 ``simulate`` (recorded in the manifest).
 """
@@ -25,14 +27,14 @@ from .config import check_seed, parse_config
 from .errors import ConfigError, FedsimError
 from .harness import (mixing_report, oracle_report, reproduce_fig2, reproduce_fig3,
                       resolve_seed_override, run_simulation, write_run_outputs)
-from .numerics import csv_records, read_text
+from .numerics import csv_records, integer, read_text, real, write_text
 from .objectives import generate_synthetic, save_dataset_csv
 from .streams import SeededStream
 
 
 def _parse_floats(fields: list, where: str) -> np.ndarray:
     try:
-        return np.array([float(v) for v in fields])
+        return np.array([real(v) for v in fields])
     except ValueError:
         raise ConfigError(f"{where}: expected comma-separated numbers, "
                           f"got {','.join(fields).strip()!r}") from None
@@ -89,8 +91,7 @@ def _json_line(rec: dict) -> str:
 def _emit_json_lines(records, out_path: str | None) -> None:
     text = "\n".join(_json_line(rec) for rec in records) + "\n"
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        write_text(out_path, [text])
     else:
         sys.stdout.write(text)
 
@@ -109,11 +110,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name in ("reproduce-fig2", "reproduce-fig3"):
         p_fig = sub.add_parser(name, help=f"{name.replace('-', ' ')} grid")
-        p_fig.add_argument("--scale", type=float, default=0.1,
+        p_fig.add_argument("--scale", type=real, default=0.1,
                            choices=[1.0, 0.5, 0.2, 0.1],
                            help="factor applied to fleet size and round count")
         p_fig.add_argument("--out", required=True)
-        p_fig.add_argument("--seed", type=int, default=1234)
+        p_fig.add_argument("--seed", type=integer, default=1234)
 
     p_mix = sub.add_parser("mixing", help="expected-square mixing diagnostics")
     p_mix.add_argument("--p", default=None, help="comma-separated probabilities")
@@ -128,11 +129,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_or.add_argument("--out", default=None)
 
     p_gen = sub.add_parser("gendata", help="generate a synthetic dataset file")
-    p_gen.add_argument("--alpha", type=float, required=True)
-    p_gen.add_argument("--beta", type=float, required=True)
-    p_gen.add_argument("--m", type=int, required=True)
-    p_gen.add_argument("--seed", type=int, required=True)
-    p_gen.add_argument("--samples", type=int, default=250)
+    p_gen.add_argument("--alpha", type=real, required=True)
+    p_gen.add_argument("--beta", type=real, required=True)
+    p_gen.add_argument("--m", type=integer, required=True)
+    p_gen.add_argument("--seed", type=integer, required=True)
+    p_gen.add_argument("--samples", type=integer, default=250)
     p_gen.add_argument("--out", required=True)
     return parser
 

@@ -31,7 +31,7 @@ from typing import get_type_hints
 from .algorithms import AlgorithmConfig
 from .errors import ConfigError
 from .link_model import StaticLinkProcess, ZipfCountLinkProcess
-from .numerics import format_real
+from .numerics import format_real, integer, real
 from .objectives import check_synthetic
 from .streams import MAX_SEED
 
@@ -94,8 +94,9 @@ class ExperimentConfig:
                                local_compute=self.local_compute)
 
 
-# Key -> int, float or str, the type its value is parsed to.
+# Key -> int, float or str, the type its value is parsed to, and how.
 _KEY_TYPES = get_type_hints(ExperimentConfig)
+_PARSERS = {int: integer, float: real, str: str}
 _EXPECTS = {int: "an integer", float: "a number"}
 
 
@@ -128,9 +129,7 @@ def parse_config(text: str) -> ExperimentConfig:
     for key, (lineno, raw) in seen.items():
         kind = _KEY_TYPES[key]
         try:
-            if kind is not str and "_" in raw:  # int() and float() accept digit separators
-                raise ValueError
-            keys[key] = kind(raw)
+            keys[key] = _PARSERS[kind](raw)
         except ValueError:
             raise ConfigError(f"line {lineno}: key '{key}' expects {_EXPECTS[kind]}, "
                               f"got {raw!r}") from None
@@ -167,7 +166,7 @@ def make_link_process(spec: str, m: int):
     kind = kind.strip()
     if kind == "static":
         try:
-            values = [float(v) for v in rest.split(",")]
+            values = [real(v) for v in rest.split(",")]
         except ValueError:
             raise ConfigError(f"bad static link spec {spec!r}") from None
         if len(values) != m:
@@ -178,14 +177,14 @@ def make_link_process(spec: str, m: int):
         if len(parts) != 2:
             raise ConfigError(f"halves link spec needs two probabilities, got {spec!r}")
         try:
-            p0, p1 = float(parts[0]), float(parts[1])
+            p0, p1 = real(parts[0]), real(parts[1])
         except ValueError:
             raise ConfigError(f"bad halves link spec {spec!r}") from None
         half = m // 2
         return StaticLinkProcess([p0] * half + [p1] * (m - half))
     if kind == "uniform":
         try:
-            p = float(rest)
+            p = real(rest)
         except ValueError:
             raise ConfigError(f"bad uniform link spec {spec!r}") from None
         return StaticLinkProcess([p] * m)
@@ -194,7 +193,7 @@ def make_link_process(spec: str, m: int):
         if len(parts) != 3:
             raise ConfigError(f"zipf link spec needs 'zipf:A,N,FLOOR', got {spec!r}")
         try:
-            a, n, floor = float(parts[0]), int(parts[1]), float(parts[2])
+            a, n, floor = real(parts[0]), integer(parts[1]), real(parts[2])
         except ValueError:
             raise ConfigError(f"bad zipf link spec {spec!r}") from None
         return ZipfCountLinkProcess(a=a, n=n, floor=floor, m=m)

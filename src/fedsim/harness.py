@@ -15,10 +15,10 @@ randomness):
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import time
 from dataclasses import dataclass, replace
+from operator import attrgetter, itemgetter
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -31,13 +31,18 @@ from .errors import ConfigError, DivergedRunError
 from .link_model import TraceRound, build_trace, write_trace_csv
 from .mixing import (entrywise_lower_bound, ergodicity_bound,
                      expected_square_exact, rho)
-from .numerics import csv_records, format_real
+from .numerics import csv_records, integer, real, write_csv, write_json
 from .objectives import QuadraticObjective, SoftmaxObjective, generate_synthetic
 from .oracles import fedavg_limit_integral
 from .streams import GENERATOR_ID, SeededStream
 
 ARTIFACT_VERSION = f"fedsim {__version__}"
-METRICS_HEADER = "round,grad_norm,consensus_error,train_loss,test_accuracy,active_count"
+# A metrics.csv column is the MetricsRow field of its name.
+METRICS_HEADER = ("round", "grad_norm", "consensus_error", "train_loss", "test_accuracy",
+                  "active_count")
+# comparison.csv's columns, which are also the keys of reproduce_fig2's summary rows.
+COMPARISON_HEADER = ("p0", "p1", "algorithm", "local_compute", "final_grad_norm",
+                     "oracle_gap", "final_global_distance_to_prediction")
 
 SEED_ENV_VAR = "FEDSIM_SEED"
 
@@ -47,31 +52,25 @@ FIG2_GRID = ((0.9, 0.9), (0.9, 0.5), (0.9, 0.1), (0.5, 0.1))
 FIG3_LINK = "zipf:3,20000,0.1"
 
 
-def write_metrics_csv(path, rows: Sequence[MetricsRow]) -> None:
-    """Stable schema: the column set never varies; unused fields stay empty."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(METRICS_HEADER + "\n")
-        for r in rows:
-            acc = "" if r.test_accuracy is None else format_real(r.test_accuracy)
-            fh.write(",".join([str(r.round), format_real(r.grad_norm),
-                               format_real(r.consensus_error), format_real(r.train_loss),
-                               acc, str(r.active_count)]) + "\n")
+def write_metrics_csv(path, rows: Sequence[MetricsRow]) -> str:
+    """Stable schema: the columns never vary, unused fields stay empty; returns the digest."""
+    return write_csv(path, METRICS_HEADER, map(attrgetter(*METRICS_HEADER), rows))
 
 
 def read_metrics_csv(path) -> List[MetricsRow]:
     """Read a file written by ``write_metrics_csv``; a row that it could not
     have written raises ``ConfigError`` naming the line."""
-    records = csv_records(path, "metrics", METRICS_HEADER.count(",") + 1)
+    records = csv_records(path, "metrics", len(METRICS_HEADER))
     _, header = next(records, (None, []))
-    if header != METRICS_HEADER.split(","):
+    if tuple(header) != METRICS_HEADER:
         raise ConfigError(f"unexpected metrics header {','.join(header)!r}")
     rows = []
     for where, f in records:
         try:
             rows.append(MetricsRow(
-                round=int(f[0]), grad_norm=float(f[1]), consensus_error=float(f[2]),
-                train_loss=float(f[3]), test_accuracy=None if f[4] == "" else float(f[4]),
-                active_count=int(f[5])))
+                round=integer(f[0]), grad_norm=real(f[1]), consensus_error=real(f[2]),
+                train_loss=real(f[3]), test_accuracy=None if f[4] == "" else real(f[4]),
+                active_count=integer(f[5])))
         except ValueError:
             raise ConfigError(f"{where}: malformed field") from None
     return rows
@@ -161,9 +160,7 @@ def write_run_outputs(out_dir, output: RunOutput, name: str = "") -> dict:
     metrics_path = os.path.join(out_dir, f"{prefix}metrics.csv")
     manifest_path = os.path.join(out_dir, f"{prefix}manifest.json")
     write_metrics_csv(metrics_path, output.rows)
-    with open(manifest_path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(output.manifest, fh, indent=2)
-        fh.write("\n")
+    write_json(manifest_path, output.manifest)
     return {"metrics": metrics_path, "manifest": manifest_path}
 
 
@@ -173,7 +170,7 @@ def resolve_seed_override(cfg: ExperimentConfig) -> tuple:
     if raw is None:
         return cfg, "config"
     try:
-        seed = int(raw)
+        seed = integer(raw)
     except ValueError:
         raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
     return replace(cfg, seed=seed), "env"
@@ -217,27 +214,13 @@ def reproduce_fig2(scale: float, out_dir, seed: int = 1234) -> dict:
                 out = run_simulation(cfg, objective=objective, trace=trace, trace_sha=sha)
                 name = f"{tag}_{variant}_{mode}"
                 write_run_outputs(out_dir, out, name=name)
-                summary.append({
-                    "p0": p0, "p1": p1, "algorithm": variant, "local_compute": mode,
-                    "final_grad_norm": out.rows[-1].grad_norm,
-                    "oracle_gap": oracle_gap,
-                    "final_global_distance_to_prediction": (
-                        None if out.result is None else
-                        float(np.linalg.norm(out.result.final_state.global_model - predicted))),
-                })
+                distance = (None if out.result is None else float(
+                    np.linalg.norm(out.result.final_state.global_model - predicted)))
+                summary.append(dict(zip(COMPARISON_HEADER, (
+                    p0, p1, variant, mode, out.rows[-1].grad_norm, oracle_gap, distance))))
 
     table_path = os.path.join(out_dir, "comparison.csv")
-    with open(table_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("p0,p1,algorithm,local_compute,final_grad_norm,oracle_gap,"
-                 "final_global_distance_to_prediction\n")
-        for row in summary:
-            fh.write(",".join([
-                format_real(row["p0"]), format_real(row["p1"]), row["algorithm"],
-                row["local_compute"], format_real(row["final_grad_norm"]),
-                format_real(row["oracle_gap"]),
-                "" if row["final_global_distance_to_prediction"] is None
-                else format_real(row["final_global_distance_to_prediction"]),
-            ]) + "\n")
+    write_csv(table_path, COMPARISON_HEADER, map(itemgetter(*COMPARISON_HEADER), summary))
     return {"summary": summary, "table": table_path}
 
 
@@ -271,9 +254,7 @@ def reproduce_fig3(scale: float, out_dir, seed: int = 1234) -> dict:
     # claim is about (acceptance criterion C11 compares those).
     summary = {"m": base.m, "T": base.T, "link": base.link, "seed": seed,
                "fedavg": finals["fedavg"], "fedpbc": finals["fedpbc"]}
-    with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, "summary.json"), summary)
     return summary
 
 

@@ -11,16 +11,18 @@ afterwards, so the entries need not sum to anything in particular).
 
 from __future__ import annotations
 
-import hashlib
 import operator
 from dataclasses import dataclass
+from itertools import repeat
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .errors import ConfigError
-from .numerics import csv_records, format_real, validate_probabilities
+from .numerics import csv_records, integer, real, validate_probabilities, write_csv
 from .streams import SeededStream
+
+TRACE_HEADER = ("round", "client", "p", "active")
 
 
 @dataclass(frozen=True)
@@ -34,14 +36,6 @@ class ActiveSet:
             raise ValueError("active-set members must be strictly increasing")
         if self.members and self.members[0] < 0:
             raise ValueError("client ids must be non-negative")
-
-    def mask(self, m: int) -> np.ndarray:
-        out = np.zeros(m, dtype=bool)
-        for i in self.members:
-            if i >= m:
-                raise ValueError(f"client id {i} out of range for m={m}")
-            out[i] = True
-        return out
 
     def __len__(self) -> int:
         return len(self.members)
@@ -153,17 +147,21 @@ def build_trace(process, T: int, stream: SeededStream) -> List[TraceRound]:
 
 
 def write_trace_csv(path, trace: Sequence[TraceRound]) -> str:
-    """Write the trace; returns the SHA-256 hex digest of the bytes written,
-    which run manifests record."""
-    lines = ["round,client,p,active\n"]
-    for row in trace:
-        mask = row.active.mask(row.p.size)
-        lines.extend(f"{row.round},{i},{format_real(p)},{int(mask[i])}\n"
-                     for i, p in enumerate(row.p))
-    data = "".join(lines).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(data)
-    return hashlib.sha256(data).hexdigest()
+    """Write the trace, one line per round and client; returns the SHA-256
+    hex digest of the bytes written, which run manifests record."""
+    for row in trace:  # before the file is opened, so a bad trace leaves none
+        if row.active.members and row.active.members[-1] >= row.p.size:
+            raise ValueError(f"client id {row.active.members[-1]} out of range "
+                             f"for m={row.p.size}")
+
+    def rows():
+        for row in trace:
+            active = [0] * row.p.size
+            for i in row.active.members:
+                active[i] = 1
+            yield from zip(repeat(row.round), range(row.p.size), row.p.tolist(), active)
+
+    return write_csv(path, TRACE_HEADER, rows())
 
 
 def read_trace_csv(path) -> List[TraceRound]:
@@ -175,13 +173,13 @@ def read_trace_csv(path) -> List[TraceRound]:
     some other trace.
     """
     per_round: dict = {}
-    records = csv_records(path, "trace", 4)
+    records = csv_records(path, "trace", len(TRACE_HEADER))
     _, header = next(records, (None, []))
-    if header != ["round", "client", "p", "active"]:
+    if tuple(header) != TRACE_HEADER:
         raise ConfigError(f"unexpected trace header: {header}")
     for where, rec in records:
         try:
-            t, i, p, act = int(rec[0]), int(rec[1]), float(rec[2]), int(rec[3])
+            t, i, p, act = integer(rec[0]), integer(rec[1]), real(rec[2]), integer(rec[3])
         except ValueError:
             raise ConfigError(f"{where}: malformed field in {rec!r}") from None
         if act not in (0, 1):

@@ -10,9 +10,9 @@ and E[1/(2+S)] picks up one extra factor of s.  The integrands are
 polynomials of degree at most m, so Gauss–Legendre quadrature with
 ``m//2 + 2`` nodes integrates them exactly up to rounding (Golub & Welsch,
 Math. Comp. 23, 1969).  Three operations live here (plus the file rules:
-``read_text`` and ``csv_records``, the one strict UTF-8 reader and CSV line
-loop behind every file fedsim reads, and ``format_real``, the real-number
-format of every CSV file and of the canonical config text):
+``read_text`` and ``csv_records`` read every input file, ``integer`` and
+``real`` every number in any input, ``write_text`` (under ``write_csv`` and
+``write_json``) every output file, and ``format_real`` each CSV and config real):
 
 * ``bernoulli_quadrature`` — the kernel.  For a probability vector it
   returns the nodes and weights on [0, 1], the full product
@@ -31,8 +31,11 @@ format of every CSV file and of the canonical config text):
 from __future__ import annotations
 
 import functools
+import hashlib
+import itertools
+import json
 import math
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,12 +48,32 @@ STOCHASTIC_TOL = 1e-12
 # precision; from numpy's accuracy, two reach extended-precision rounding.
 _NEWTON_STEPS = 2
 
+# CSV lines per block: a dataset block is about 300 KB, a trace block 6 KB.
+_BLOCK_LINES = 256
+
 
 def format_real(x: float) -> str:
     """A real as every CSV file and the canonical config text write it: 17
     significant digits, which round-trip any float64 (JSON output uses
     Python's shortest repr)."""
     return f"{x:.17g}"
+
+
+def _plain(text: str) -> str:
+    """``text`` without the ``_`` digit separators ``int`` and ``float`` read."""
+    if "_" in text:
+        raise ValueError(f"digit separator in {text!r}")
+    return text
+
+
+def integer(text: str) -> int:
+    """An integer in any input: ``int``, but ``1_0`` is a ``ValueError``."""
+    return int(_plain(text))
+
+
+def real(text: str) -> float:
+    """A real in any input: ``float``, but ``0_5`` is a ``ValueError``."""
+    return float(_plain(text))
 
 
 def _lines(path) -> Iterator[str]:
@@ -88,6 +111,36 @@ def csv_records(path, what: str,
         elif len(fields) != n_fields:
             raise ConfigError(f"{where}: expected {n_fields} fields, got {len(fields)}")
         yield where, fields
+
+
+def write_text(path, chunks: Iterable[str]) -> None:
+    """Write ``chunks`` as UTF-8, line ends as given: the one place fedsim
+    opens a file to write."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(chunks)
+
+
+def write_csv(path, header: Sequence, rows: Iterable[Sequence]) -> str:
+    """Write LF-ended CSV lines in blocks; returns the SHA-256 hex digest of
+    the bytes.  A float is written by ``format_real``, ``None`` as an empty
+    field, the rest by ``str``; pass arrays as ``tolist()`` (numpy scalars are slower)."""
+    digest = hashlib.sha256()
+    lines = (",".join(["" if v is None else format_real(v) if isinstance(v, float)
+                       else str(v) for v in row]) + "\n"
+             for row in itertools.chain([header], rows))
+
+    def blocks():
+        while block := "".join(itertools.islice(lines, _BLOCK_LINES)):
+            digest.update(block.encode("utf-8"))
+            yield block
+
+    write_text(path, blocks())
+    return digest.hexdigest()
+
+
+def write_json(path, obj) -> None:
+    """Write ``obj`` as JSON indented by 2, then a newline."""
+    write_text(path, [json.dumps(obj, indent=2) + "\n"])
 
 
 def validate_probabilities(p) -> np.ndarray:

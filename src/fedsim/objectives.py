@@ -24,7 +24,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import ConfigError
-from .numerics import csv_records, format_real
+from .numerics import csv_records, integer, real, write_csv
 from .streams import SeededStream
 
 N_FEATURES = 60
@@ -237,18 +237,18 @@ def generate_synthetic(alpha: float, beta: float, m: int, samples_per_client: in
                             seed=stream.root_seed)
 
 
-def save_dataset_csv(path, dataset: FederatedDataset) -> None:
-    """One header line holding the generation metadata, then per-sample rows."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join([DATASET_MAGIC, format_real(dataset.alpha), format_real(dataset.beta),
-                           str(dataset.num_clients), str(dataset.seed)]) + "\n")
+def save_dataset_csv(path, dataset: FederatedDataset) -> str:
+    """One header line holding the generation metadata, then per-sample rows;
+    returns the file's SHA-256 hex digest."""
+    def rows():
         for cid, cl in enumerate(dataset.clients):
             for split, xs, ys in (("train", cl.train_x, cl.train_y),
                                   ("test", cl.test_x, cl.test_y)):
-                for x, y in zip(xs, ys):
-                    fields = [str(cid), split, str(int(y))]
-                    fields.extend(format_real(v) for v in x)
-                    fh.write(",".join(fields) + "\n")
+                for x, y in zip(xs, ys.tolist()):
+                    yield [cid, split, y, *x.tolist()]
+
+    header = (DATASET_MAGIC, dataset.alpha, dataset.beta, dataset.num_clients, dataset.seed)
+    return write_csv(path, header, rows())
 
 
 def load_dataset_csv(path) -> FederatedDataset:
@@ -260,8 +260,8 @@ def load_dataset_csv(path) -> FederatedDataset:
     if len(header) != 5 or header[0] != DATASET_MAGIC:
         raise ConfigError(f"not a {DATASET_MAGIC} dataset file")
     try:
-        alpha, beta = float(header[1]), float(header[2])
-        m, seed = int(header[3]), int(header[4])
+        alpha, beta = real(header[1]), real(header[2])
+        m, seed = integer(header[3]), integer(header[4])
         if m < 1:
             raise ConfigError(f"client count must be >= 1, got {m}")
         check_synthetic(alpha, beta, 2)  # a client's rows are at least 2 samples
@@ -272,8 +272,8 @@ def load_dataset_csv(path) -> FederatedDataset:
     rows: dict = {}  # (split, client) -> (features, labels), keyed as rows arrive
     for where, rec in records:
         try:
-            cid, split, label = int(rec[0]), rec[1], int(rec[2])
-            feats = [float(v) for v in rec[3:]]
+            cid, split, label = integer(rec[0]), rec[1], integer(rec[2])
+            feats = [real(v) for v in rec[3:]]
         except ValueError:
             raise ConfigError(f"{where}: malformed field") from None
         if split not in ("train", "test") or not 0 <= cid < m:

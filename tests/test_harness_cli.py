@@ -523,6 +523,80 @@ def test_non_utf8_input_is_one_config_error_naming_the_path(tmp_path, capsys, ki
         assert assert_cli_error(capsys, argv) == f"error: {message}\n"
 
 
+# A number spelled with Python's "_" digit separator, which int() and float()
+# read ("1_0" as 10, "0_5" as 5), at each place fedsim reads a number: a
+# config value and link spec, FEDSIM_SEED, a numeric flag, a --p, --p-file or
+# --u field, and an int and a float field of each library reader.  "{tmp}" is
+# the test directory; the files are written there first.
+RUN_CONFIG = FAST_COUNTEREXAMPLE.format(alg="fedavg", seed=3)
+SEPARATOR_FILES = {
+    "seed.cfg": FAST_COUNTEREXAMPLE.format(alg="fedavg", seed="1_0"),
+    "good.cfg": RUN_CONFIG,
+    "static.cfg": RUN_CONFIG.replace("halves:0.9,0.1", "static:0.5,0.5,1_0e-1,0.3,0.5,0.5"),
+    "halves.cfg": RUN_CONFIG.replace("halves:0.9,0.1", "halves:0.9,1_0e-1"),
+    "uniform.cfg": RUN_CONFIG.replace("halves:0.9,0.1", "uniform:1_0e-1"),
+    "zipf.cfg": RUN_CONFIG.replace("halves:0.9,0.1", "zipf:3,2_000,0.1"),
+    "p.csv": "0.5,1_0e-1\n",
+    "u.csv": "1_0,2\n3,4\n",
+}
+SIMULATE = ["simulate", "--out", "{tmp}/run", "--config"]
+SEPARATOR_CLI = {
+    "config-value": SIMULATE + ["{tmp}/seed.cfg"],
+    "env-seed": SIMULATE + ["{tmp}/good.cfg"],
+    "link-static": SIMULATE + ["{tmp}/static.cfg"],
+    "link-halves": SIMULATE + ["{tmp}/halves.cfg"],
+    "link-uniform": SIMULATE + ["{tmp}/uniform.cfg"],
+    "link-zipf": SIMULATE + ["{tmp}/zipf.cfg"],
+    "p": ["mixing", "--p", "1_0e-1,0.5"],
+    "p-file": ["oracle", "--p-file", "{tmp}/p.csv"],
+    "u": ["oracle", "--p", "0.5,0.5", "--u", "{tmp}/u.csv"],
+}
+# A repeated flag's last value wins, so each case ends in the flag it spells.
+SEPARATOR_FLAGS = {
+    **{f"gendata{flag}": GENDATA + ["--seed", "1", "--out", "{tmp}/g.csv", flag, "1_0"]
+       for flag in ("--alpha", "--beta", "--m", "--seed", "--samples")},
+    **{f"{command}{flag}": [command, "--out", "{tmp}/fig", flag, value]
+       for command in ("reproduce-fig2", "reproduce-fig3")
+       for flag, value in (("--scale", "0_1"), ("--seed", "1_0"))},
+}
+METRICS_LINE = b"round,grad_norm,consensus_error,train_loss,test_accuracy,active_count\n"
+SEPARATOR_READERS = {
+    "metrics-int": (read_metrics_csv, METRICS_LINE + b"1_0,1,0,0,,1\n"),
+    "metrics-float": (read_metrics_csv, METRICS_LINE + b"0,1,0,0,0_5,1\n"),
+    "trace-int": (read_trace_csv, b"round,client,p,active\n0,0,0.5,0_1\n"),
+    "trace-float": (read_trace_csv, b"round,client,p,active\n0,0,0_5,1\n"),
+    "dataset-int": (load_dataset_csv, b"synthetic-v1,1,1,1,1_0\n"),
+    "dataset-float": (load_dataset_csv, b"synthetic-v1,1,1,1,7\n0,train,1,"
+                      + b",".join([b"0_5"] * 60) + b"\n"),
+}
+
+
+@pytest.mark.parametrize("case", [*SEPARATOR_CLI, *SEPARATOR_FLAGS, *SEPARATOR_READERS])
+def test_numbers_with_digit_separators_are_refused_everywhere(tmp_path, capsys, monkeypatch,
+                                                               case):
+    for name, text in SEPARATOR_FILES.items():
+        write_config(tmp_path, text, name)
+    if case in SEPARATOR_READERS:
+        reader, data = SEPARATOR_READERS[case]
+        (tmp_path / "in.csv").write_bytes(data)
+        with pytest.raises(ConfigError, match=r" line \d+: "):
+            reader(tmp_path / "in.csv")
+        return
+    monkeypatch.setenv("FEDSIM_SEED", "1_0" if case == "env-seed" else "3")
+    argv = [arg.format(tmp=tmp_path) for arg in {**SEPARATOR_CLI, **SEPARATOR_FLAGS}[case]]
+    if case in SEPARATOR_CLI:
+        err = assert_cli_error(capsys, argv)
+        assert err.count("\n") == 1
+    else:
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        err = capsys.readouterr().err
+        assert info.value.code == 2 and err.startswith("usage: fedsim")
+        assert "error: argument " in err and "invalid " in err and "Traceback" not in err
+    for made in ("run", "fig", "g.csv"):
+        assert not (tmp_path / made).exists()
+
+
 @pytest.mark.parametrize("target, argv", [
     ("run_simulation", ["simulate", "--config", "{tmp}/run.cfg", "--out", "{tmp}/run"]),
     ("generate_synthetic", GENDATA + ["--seed", "1", "--out", "{tmp}/g.csv"]),
@@ -630,12 +704,13 @@ def test_reproduce_fig3_smoke(tmp_path, monkeypatch):
 
 def test_metrics_file_bytes(tmp_path):
     path = tmp_path / "metrics.csv"
-    write_metrics_csv(path, [MetricsRow(0, 1.5, 0.25, 2.0, None, 3),
-                             MetricsRow(1, 0.1, 1e-300, -0.0, 0.875, 0)])
+    digest = write_metrics_csv(path, [MetricsRow(0, 1.5, 0.25, 2.0, None, 3),
+                                      MetricsRow(1, 0.1, 1e-300, -0.0, 0.875, 0)])
     assert path.read_bytes() == (
         b"round,grad_norm,consensus_error,train_loss,test_accuracy,active_count\n"
         b"0,1.5,0.25,2,,3\n"
         b"1,0.10000000000000001,1e-300,-0,0.875,0\n")
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_trace_file_bytes(tmp_path):
@@ -647,6 +722,15 @@ def test_trace_file_bytes(tmp_path):
                                  b"0,0,0.5,0\n0,1,0.10000000000000001,1\n"
                                  b"1,0,1,0\n1,1,0.25,0\n")
     assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_trace_member_out_of_range_writes_no_file(tmp_path):
+    path = tmp_path / "trace.csv"
+    with pytest.raises(ValueError, match="client id 2 out of range for m=2"):
+        write_trace_csv(path, [
+            TraceRound(round=0, p=np.array([0.5, 0.1]), active=ActiveSet((1,))),
+            TraceRound(round=1, p=np.array([1.0, 0.25]), active=ActiveSet((0, 2)))])
+    assert not path.exists()
 
 
 def test_comparison_file_bytes(tmp_path, monkeypatch):
@@ -687,7 +771,7 @@ def test_comparison_file_bytes(tmp_path, monkeypatch):
 
 def test_dataset_file_bytes(tmp_path):
     path = tmp_path / "data.csv"
-    save_dataset_csv(path, FederatedDataset(
+    digest = save_dataset_csv(path, FederatedDataset(
         clients=[ClientData(train_x=np.full((1, 60), 0.5), train_y=np.array([3]),
                             test_x=np.array([[-1.0] * 59 + [0.1]]), test_y=np.array([9]))],
         alpha=1.0, beta=0.25, seed=7))
@@ -695,6 +779,7 @@ def test_dataset_file_bytes(tmp_path):
         b"synthetic-v1,1,0.25,1,7\n"
         + b"0,train,3," + b",".join([b"0.5"] * 60) + b"\n"
         + b"0,test,9," + b",".join([b"-1"] * 59) + b",0.10000000000000001\n")
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_manifest_file_bytes(tmp_path):

@@ -1,10 +1,13 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from fedsim.errors import ContractViolationError
 from fedsim.mixing import expected_square_exact
-from fedsim.numerics import integrate_weighted_product, second_eigenvalue_sym
+from fedsim.numerics import (integer, integrate_weighted_product, real, second_eigenvalue_sym,
+                             write_csv, write_json)
 
 
 def random_mixing_average(rng, m, patterns=6):
@@ -105,3 +108,31 @@ def test_integrate_matches_adaptive_quadrature():
 
         expected, _ = quad(integrand, 0.0, 1.0, limit=200)
         assert integrate_weighted_product(factors, w) == pytest.approx(expected, abs=1e-10)
+
+
+def test_write_csv_fields_across_blocks(tmp_path):
+    # Enough rows to span several write blocks; one header, LF line ends.
+    rows = [(i, "x\u00e9", 0.1 * i, None, -0.0) for i in range(1000)]
+    digest = write_csv(tmp_path / "t.csv", ("n", "s", "r", "none", "z"), rows)
+    data = (tmp_path / "t.csv").read_bytes()
+    assert data == ("n,s,r,none,z\n" + "".join(
+        f"{i},x\u00e9,{0.1 * i:.17g},,-0\n" for i in range(1000))).encode("utf-8")
+    assert digest == hashlib.sha256(data).hexdigest()
+
+
+def test_write_json_is_indented_with_a_final_newline(tmp_path):
+    write_json(tmp_path / "j.json", {"a": [1, 0.1], "b": None})
+    assert (tmp_path / "j.json").read_bytes() == (
+        b'{\n  "a": [\n    1,\n    0.1\n  ],\n  "b": null\n}\n')
+
+
+@pytest.mark.parametrize("text", ["1_0", "0_5", "1_0e-1", " 1_0 "])
+def test_numbers_refuse_digit_separators(text):
+    for parse in (integer, real):
+        with pytest.raises(ValueError):
+            parse(text)
+
+
+def test_numbers_read_as_int_and_float_otherwise():
+    assert integer(" 12 ") == 12 and integer("-3") == -3
+    assert real("0.5") == 0.5 and real("1e-1") == 0.1 and np.isnan(real("nan"))

@@ -32,8 +32,6 @@ from fedsim.objectives import (N_CLASSES, N_FEATURES, ClientData, FederatedDatas
                                save_dataset_csv)
 from fedsim.streams import SeededStream
 
-PROPERTIES = settings(max_examples=60, deadline=None, derandomize=True, database=None)
-
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
@@ -44,7 +42,6 @@ def active_sets(draw, max_m=40):
     return m, ActiveSet(tuple(sorted(members)))
 
 
-@PROPERTIES
 @given(active_sets())
 def test_mixing_matrix_is_symmetric_stochastic_projection(case):
     m, active = case
@@ -57,7 +54,6 @@ def test_mixing_matrix_is_symmetric_stochastic_projection(case):
     assert np.max(np.abs(W @ W - W)) <= 1e-15
 
 
-@PROPERTIES
 @given(st.integers(1, 6), st.integers(1, 8), st.integers(1, 5),
        st.floats(1e-3, 0.5), st.integers(0, 2**32 - 1))
 def test_fedpbc_empty_round_moves_each_column_by_its_own_steps(d, m, s, eta, seed):
@@ -86,7 +82,6 @@ def test_fedpbc_empty_round_moves_each_column_by_its_own_steps(d, m, s, eta, see
 magnitudes = st.floats(-1e6, 1e6, allow_subnormal=False)
 
 
-@PROPERTIES
 @given(st.integers(1, 4), st.integers(1, 300),
        st.one_of(st.floats(1e-6, 1.0), st.floats(1.0, 2.0, exclude_min=True, exclude_max=True)),
        st.data())
@@ -173,7 +168,6 @@ def traces(draw):
     return rounds
 
 
-@PROPERTIES
 @given(traces())
 def test_trace_csv_round_trips_exactly(trace):
     with tempfile.TemporaryDirectory() as tmp:
@@ -206,7 +200,7 @@ def datasets(draw):
                             seed=draw(st.integers(0, 2**63 - 1)))
 
 
-@settings(PROPERTIES, max_examples=30)
+@settings(max_examples=30)
 @given(datasets())
 def test_dataset_csv_round_trips_exactly(dataset):
     with tempfile.TemporaryDirectory() as tmp:
@@ -256,7 +250,6 @@ def read_ends_in_a_value_or_a_config_error(reader: str, data: bytes) -> None:
             pass
 
 
-@PROPERTIES
 @pytest.mark.parametrize("reader", READERS)
 @given(prefix=st.sampled_from(["none", "line 1", "whole file"]), tail=st.binary(max_size=24))
 def test_readers_on_short_byte_strings(reader, prefix, tail):
@@ -265,7 +258,6 @@ def test_readers_on_short_byte_strings(reader, prefix, tail):
     read_ends_in_a_value_or_a_config_error(reader, head[prefix] + tail)
 
 
-@PROPERTIES
 @pytest.mark.parametrize("reader", READERS)
 @given(data=st.data())
 def test_readers_on_one_field_mutations(reader, data):
@@ -323,7 +315,6 @@ def assert_writes_json_dumps(records):
     assert written == "\n".join(json.dumps(r) for r in records) + "\n"
 
 
-@PROPERTIES
 @example([{"entries": [[-0.0]]}, {"entries": [[0.0, -0.0], [-0.0, 0.0]], "m": 2}])
 @given(st.lists(json_records(), min_size=1, max_size=3))
 def test_json_lines_are_json_dumps(records):
@@ -368,7 +359,7 @@ def link_specs(draw, m):
     return f"{kind}:{','.join(values)}"
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(data=st.data(), m=st.integers(1, 6), T=st.integers(1, 5),
        variant=st.sampled_from(["fedavg", "fedpbc"]),
        mode=st.sampled_from(["all", "active_only"]), eta=st.sampled_from([0.1, 2.5]))

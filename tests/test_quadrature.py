@@ -2,7 +2,7 @@
 and their structural invariants as property tests."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from fedsim.mixing import entrywise_lower_bound, ergodicity_bound, expected_square_exact, rho
@@ -56,10 +56,6 @@ def probability_vectors(draw):
     return np.array([c] + rest)
 
 
-PROPERTIES = settings(max_examples=60, deadline=None, derandomize=True, database=None)
-
-
-@PROPERTIES
 @given(probability_vectors())
 def test_expected_square_invariants(p):
     M = expected_square_exact(p)
@@ -70,7 +66,6 @@ def test_expected_square_invariants(p):
     assert rho(M) <= ergodicity_bound(c, m) + 1e-12
 
 
-@PROPERTIES
 @given(probability_vectors(), st.data())
 def test_limit_weight_invariants(p, data):
     w = fedavg_limit_integral(p).w
