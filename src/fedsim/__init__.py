@@ -5,7 +5,8 @@ diagnostics."""
 __version__ = "0.1.0"
 
 from .algorithms import (AlgorithmConfig, ExperimentResult, FleetState, MetricsRow,
-                         matrix_form_check, run_experiment, run_round)
+                         RoundStart, matrix_form_check, metrics_rows, run_experiment,
+                         run_round)
 from .errors import (CapacityError, ConfigError, ContractViolationError,
                      DivergedRunError, FedsimError, StatisticalError)
 from .link_model import (ActiveSet, StaticLinkProcess, ZipfCountLinkProcess,

@@ -6,10 +6,14 @@ round of a link trace and collects the metrics rows.  A round, in order:
 1. FedAvg's broadcast: clients with active links restart from the server
    model; the rest continue from their own.  FedPBC postpones it, so
    every client continues from its own model.
-2. One metrics row of that start fleet, which is also the exact state
-   FedPBC carries between rounds: gradient norm of the mean iterate,
-   consensus error (1/m) sum_i ||x_i - x_bar||^2, train loss, test
-   accuracy, and the active count.
+2. The round's part of the metrics row of that start fleet, which is also
+   the exact state FedPBC carries between rounds: the mean iterate x_bar,
+   the consensus error (1/m) sum_i ||x_i - x_bar||^2 and the active
+   count.  The rest of the row, the gradient norm and train loss at x_bar
+   and its test accuracy, is one full pass over the train and test sets
+   per model; ``metrics_rows`` takes it for a window of up to
+   ``MEASURE_WINDOW`` rounds at once, in one stacked pass over their
+   x_bar columns.
 3. The computing clients (all of them, or only the active ones under
    ``local_compute="active_only"``, whose inactive columns stay frozen)
    draw the round's mini-batches and take s gradient steps at a fixed
@@ -33,6 +37,7 @@ import numpy as np
 from .errors import ConfigError, DivergedRunError
 from .link_model import ActiveSet, TraceRound, build_trace
 from .mixing import build_mixing
+from .objectives import MEASURE_WINDOW
 from .streams import SeededStream
 
 VARIANTS = ("fedavg", "fedpbc")
@@ -90,36 +95,70 @@ class MetricsRow:
     active_count: int
 
 
-def _measure(t: int, starts: np.ndarray, objective, active_count: int) -> MetricsRow:
-    """The metrics row of the fleet ``starts``; the caller holds the errstate.
+@dataclass(frozen=True)
+class RoundStart:
+    """The part of a round's metrics row that ``run_round`` takes: the start
+    fleet's mean iterate, its consensus error and the active count."""
 
-    ``sum / m`` is bit for bit ``mean``, and ``sqrt(g . g)`` is how
-    ``np.linalg.norm`` computes a vector's norm, without their Python-level
-    overhead."""
+    round: int
+    x_bar: np.ndarray
+    consensus_error: float
+    active_count: int
+
+
+def _round_start(t: int, starts: np.ndarray, active_count: int) -> RoundStart:
+    """The ``RoundStart`` of the fleet ``starts``; the caller holds the errstate.
+
+    ``sum / m`` is bit for bit ``mean``, without its Python-level overhead."""
     m = starts.shape[1]
     x_bar = starts.sum(axis=1) / m
-    loss, grad = objective.loss_and_gradient(x_bar)
     dev = starts - x_bar[:, None]
     dev *= dev
-    return MetricsRow(round=t, grad_norm=math.sqrt(grad.dot(grad)),
-                      consensus_error=float(dev.sum() / m), train_loss=loss,
-                      test_accuracy=objective.test_accuracy(x_bar),
+    return RoundStart(round=t, x_bar=x_bar, consensus_error=float(dev.sum() / m),
                       active_count=active_count)
 
 
-def _check_finite(X: np.ndarray, server: np.ndarray, row: MetricsRow) -> None:
+def metrics_rows(starts: Sequence[RoundStart], objective) -> List[MetricsRow]:
+    """The metrics rows of ``starts``, from one ``loss_and_gradient`` and one
+    ``test_accuracy`` call on the d x K matrix of their mean iterates.
+
+    A column's results do not depend on the other columns, so each row is
+    the one its round's start alone would give.  ``sqrt(g . g)`` is how
+    ``np.linalg.norm`` computes a vector's norm, without its Python-level
+    overhead."""
+    if not starts:
+        return []
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_bars = np.stack([start.x_bar for start in starts], axis=1)
+        losses, grads = objective.loss_and_gradient(x_bars)
+        accuracies = objective.test_accuracy(x_bars)
+        norms = [math.sqrt(g.dot(g)) for g in np.ascontiguousarray(grads.T)]
+    accuracies = [None] * len(starts) if accuracies is None else accuracies.tolist()
+    return [MetricsRow(round=start.round, grad_norm=norm,
+                       consensus_error=start.consensus_error, train_loss=loss,
+                       test_accuracy=accuracy, active_count=start.active_count)
+            for start, norm, loss, accuracy in zip(starts, norms, losses.tolist(), accuracies)]
+
+
+def _check_finite(X: np.ndarray, server: np.ndarray, start: RoundStart, objective) -> None:
+    """Raise ``DivergedRunError``, carrying the round's row, on a non-finite
+    iterate or server model."""
+    t = start.round
     if not np.isfinite(X).all():
-        bad = int(np.nonzero(~np.isfinite(X).all(axis=0))[0][0])
-        raise DivergedRunError(f"non-finite iterate at round {row.round}, client {bad}",
-                               round_index=row.round, client=bad, rows=[row])
-    if not np.isfinite(server).all():
-        raise DivergedRunError(f"non-finite server model at round {row.round}",
-                               round_index=row.round, rows=[row])
+        client = int(np.nonzero(~np.isfinite(X).all(axis=0))[0][0])
+        message = f"non-finite iterate at round {t}, client {client}"
+    elif not np.isfinite(server).all():
+        client, message = None, f"non-finite server model at round {t}"
+    else:
+        return
+    raise DivergedRunError(message, round_index=t, client=client,
+                           rows=metrics_rows([start], objective))
 
 
 def run_round(state: FleetState, active: ActiveSet, cfg: AlgorithmConfig,
-              objective, batchers) -> Tuple[FleetState, MetricsRow]:
-    """One round of either variant: the next state and the row of its start.
+              objective, batchers) -> Tuple[FleetState, RoundStart]:
+    """One round of either variant: the next state and the ``RoundStart``
+    of its start fleet, which ``metrics_rows`` turns into its row.
 
     The steps of the module docstring, on a copy of ``state.X``.  The
     computing clients draw their batches from ``batchers`` (the
@@ -136,7 +175,7 @@ def run_round(state: FleetState, active: ActiveSet, cfg: AlgorithmConfig,
         X[:, members] = state.global_model[:, None]  # the broadcast
     clients = np.arange(m) if cfg.local_compute == "all" else members
     with np.errstate(over="ignore", invalid="ignore"):
-        row = _measure(state.round, X, objective, k)
+        start = _round_start(state.round, X, k)
         if clients.size:
             batch = objective.fleet_batch(clients, batchers)
             local = X if clients.size == m else X[:, clients]
@@ -145,10 +184,10 @@ def run_round(state: FleetState, active: ActiveSet, cfg: AlgorithmConfig,
                 X[:, clients] = local
         # sum / k is bit for bit the mean of the active columns.
         new_global = X[:, members].sum(axis=1) / k if k else state.global_model.copy()
-    _check_finite(X, new_global, row)
+    _check_finite(X, new_global, start, objective)
     if cfg.variant == "fedpbc":
         X[:, members] = new_global[:, None]  # the postponed multicast
-    return FleetState(X=X, global_model=new_global, round=state.round + 1), row
+    return FleetState(X=X, global_model=new_global, round=state.round + 1), start
 
 
 def matrix_form_check(state_before: FleetState, active: ActiveSet,
@@ -179,15 +218,17 @@ class ExperimentResult:
 def run_experiment(cfg: AlgorithmConfig, objective, link_process, T: int,
                    stream: SeededStream, *, trace: Optional[Sequence[TraceRound]] = None,
                    batch_size: int = 32, x0: Optional[np.ndarray] = None) -> ExperimentResult:
-    """``run_round`` over the first T rounds of a trace; one row per round.
+    """``run_round`` over the first T rounds of a trace; one row per round,
+    taken by ``metrics_rows`` once a window of ``MEASURE_WINDOW`` rounds
+    has run and after the last round.
 
     Randomness is addressed by purpose: link draws under ``links`` and
     mini-batches under ``batches``/client id, so the two algorithm
     variants driven by the same stream consume identical link traces and
     identical batches.  Without ``trace``, the links are drawn up front by
     ``build_trace`` under ``links``; either way the run replays a trace.
-    A ``DivergedRunError`` leaves with every row recorded, the diverging
-    round's last.
+    A ``DivergedRunError`` leaves with every row so far, its window's
+    measured first, the diverging round's last.
     """
     if T < 1:
         raise ConfigError("round count T must be >= 1")
@@ -201,11 +242,15 @@ def run_experiment(cfg: AlgorithmConfig, objective, link_process, T: int,
 
     batchers = objective.make_batchers(batch_size, stream.child("batches"))
     rows: List[MetricsRow] = []
+    window: List[RoundStart] = []
     for t in range(T):
         try:
-            state, row = run_round(state, trace[t].active, cfg, objective, batchers)
+            state, start = run_round(state, trace[t].active, cfg, objective, batchers)
         except DivergedRunError as err:
-            err.rows = rows + err.rows
+            err.rows = rows + metrics_rows(window, objective) + err.rows
             raise
-        rows.append(row)
+        window.append(start)
+        if len(window) == MEASURE_WINDOW or t == T - 1:
+            rows += metrics_rows(window, objective)
+            window = []
     return ExperimentResult(final_state=state, rows=rows)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -106,12 +106,26 @@ class QuadraticObjective:
         """Column mean of the targets, the unique global minimizer (read-only)."""
         return self._optimum
 
-    def loss_and_gradient(self, x: np.ndarray) -> Tuple[float, np.ndarray]:
-        """Mean loss over the clients at ``x`` and its gradient."""
-        diffs = x[:, None] - self.targets
+    def loss_and_gradient(self, x: np.ndarray):
+        """Mean loss over the clients at ``x`` and its gradient.
+
+        ``x`` is one model, a ``(d,)`` vector, or K models, the columns of
+        a ``(d, K)`` matrix: then the losses are a ``(K,)`` array and the
+        gradients the columns of a ``(d, K)`` one.  Each model's squared
+        deviations are summed as one flat row, as a vector's are, so a
+        column's result does not depend on the others and a vector is the
+        K=1 column (numpy's sum over two axes at once, ``axis=(1, 2)``,
+        gives some models another rounding).
+        """
+        x = np.asarray(x, float)
+        models = _columns(x)
+        diffs = models.T[:, :, None] - self.targets
         diffs *= diffs
-        return (float(0.5 * diffs.sum() / self.num_clients),
-                x - self._optimum)
+        losses = 0.5 * diffs.reshape(len(diffs), -1).sum(axis=1) / self.num_clients
+        grads = models - self._optimum[:, None]
+        if x.ndim == 1:
+            return float(losses[0]), grads[:, 0]
+        return losses, grads
 
     def global_gradient(self, x: np.ndarray) -> np.ndarray:
         return self.loss_and_gradient(x)[1]
@@ -119,7 +133,8 @@ class QuadraticObjective:
     def train_loss(self, x: np.ndarray) -> float:
         return self.loss_and_gradient(x)[0]
 
-    def test_accuracy(self, x: np.ndarray) -> Optional[float]:
+    def test_accuracy(self, x: np.ndarray) -> None:
+        """The quadratic has no test set: ``None`` for one model or K."""
         return None
 
 
@@ -222,7 +237,11 @@ def generate_synthetic(alpha: float, beta: float, m: int, samples_per_client: in
         b_true = gen.normal(u_i, _MODEL_STD, size=N_CLASSES)
         level = gen.normal(0.0, np.sqrt(beta))
         mean_vec = gen.normal(level, 1.0, size=N_FEATURES)
-        features = gen.normal(mean_vec, _FEATURE_STD, size=(n_i, N_FEATURES))
+        # Bit for bit normal(mean_vec, _FEATURE_STD), without broadcasting
+        # the location and scale for each draw.
+        features = gen.standard_normal((n_i, N_FEATURES))
+        features *= _FEATURE_STD
+        features += mean_vec
         labels = np.argmax(features @ w_true.T + b_true, axis=1).astype(np.int64)
 
         split_gen = stream.child("split", i).generator()
@@ -323,21 +342,49 @@ class MiniBatcher:
 
 # Rows per block of the stacked full-data passes.  A block of 400 makes
 # 10 x 60 x 400 = 240k multiply-adds per product, under the 4 * 65536 from
-# which OpenBLAS splits a GEMM across threads.  numpy and scipy each load
-# their own OpenBLAS with its own thread pool, and one product over every
-# row, threaded inside scipy's L-BFGS-B, makes the pools fight: on two
-# cores an L-BFGS solve over 6,000 rows took 16.6 s that way and 1.5 s in
-# blocks.  Threads gained nothing on these passes where they did not fight.
-# The passes are class-major: a block's logits are 10 x 400 and the
-# reductions over the classes run along the leading axis, across 400-long
-# rows.  numpy reduces short rows slowly: the max over the classes of one
-# block took 30 us on 400 x 10 logits and 4.5 us on 10 x 400 (2-core x86-64).
+# which OpenBLAS splits a GEMM across threads; a pass over K models makes
+# one such product per model (a stacked matmul), never one K times larger.
+# numpy and scipy each load their own OpenBLAS with its own thread pool,
+# and one product over every row, threaded inside scipy's L-BFGS-B, makes
+# the pools fight: on two cores an L-BFGS solve over 6,000 rows took
+# 16.6 s that way and 1.5 s in blocks.  Threads gained nothing on these
+# passes where they did not fight.  The passes are class-major: a block's
+# logits are 10 x 400 per model and the reductions over the classes run
+# along the class axis, across 400-long rows.  numpy reduces short rows
+# slowly: the max over the classes of one block took 30 us on 400 x 10
+# logits and 4.5 us on 10 x 400 (2-core x86-64).
 FULL_PASS_BLOCK = 400
+
+# Models per stacked pass when a run measures its rounds: ``run_experiment``
+# takes the train and test passes of up to this many rounds' mean iterates
+# at once, so a block's small numpy calls are paid once per window, not
+# once per round.  On the 30,000 train rows of the fig3 fleet a model's
+# two passes took 3.0 ms alone, 1.70 ms in 8, 1.53 ms in 32 and 1.50 ms
+# in 64 (2-core x86-64); the window's temporaries grow with it.
+MEASURE_WINDOW = 32
 
 
 def _blocks(n: int):
     """Slices of ``range(n)`` of at most ``FULL_PASS_BLOCK`` rows each."""
     return (slice(start, start + FULL_PASS_BLOCK) for start in range(0, n, FULL_PASS_BLOCK))
+
+
+def _columns(x: np.ndarray) -> np.ndarray:
+    """``x`` as a ``d x K`` matrix of K models: a ``(d,)`` vector is one column."""
+    return x.reshape(x.shape[0], -1)
+
+
+def _models(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The (K, 10, 60) weights and (K, 10, 1) biases of the K flattened
+    models in ``x``'s columns, each model's weights one C-contiguous block."""
+    cols = _columns(x)
+    n_w = N_CLASSES * N_FEATURES
+    return cols[:n_w].T.reshape(-1, N_CLASSES, N_FEATURES), cols[n_w:].T[:, :, None]
+
+
+def _dots(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Each row of the K x n ``a`` dotted with ``v``, one BLAS dot per row."""
+    return np.matmul(a[:, None, :], v[:, None])[:, 0, 0]
 
 
 def _stack(features: List[np.ndarray], labels: List[np.ndarray]):
@@ -445,31 +492,44 @@ class SoftmaxObjective:
         X[:n_w] = model[:, :, :N_FEATURES].reshape(k, n_w).T
         X[n_w:] = model[:, :, N_FEATURES].T
 
-    def loss_and_gradient(self, x: np.ndarray) -> Tuple[float, np.ndarray]:
+    def loss_and_gradient(self, x: np.ndarray):
         """The mean over clients of each client's mean train loss at ``x``,
         and its gradient, in one class-major pass over the stacked train
-        columns."""
+        columns.
+
+        ``x`` is one model, a ``(d,)`` vector, or K models, the columns of
+        a ``(d, K)`` matrix: then the losses are a ``(K,)`` array and the
+        gradients the columns of a ``(d, K)`` one.  A block's products are
+        one ``10 x 60 x 400`` product per model, its loss one dot per
+        model, and its max, exp, sums and label picks run over all K
+        models at once; so a column's result does not depend on the
+        others, and a vector is the K=1 column.
+        """
         features, labels, weights = self._train
-        w, b = _split(np.asarray(x, float))
-        bias = b[:, None]
-        loss = 0.0
-        grad_w = np.zeros((N_CLASSES, N_FEATURES))
-        grad_b = np.zeros(N_CLASSES)
+        x = np.asarray(x, float)
+        w, bias = _models(x)
+        k = len(w)
+        loss = np.zeros(k)
+        grad_w = np.zeros((k, N_CLASSES, N_FEATURES))
+        grad_b = np.zeros((k, N_CLASSES))
         for rows in _blocks(len(labels)):
             f, y, wt = features[:, rows], labels[rows], weights[rows]
-            z = w @ f
+            picked = slice(None), y, np.arange(len(y))
+            z = np.matmul(w, f)
             z += bias
-            z -= z.max(axis=0)
+            z -= z.max(axis=1, keepdims=True)
             delta = np.exp(z)
-            denom = delta.sum(axis=0)
-            picked = y, np.arange(len(y))
-            loss -= wt @ (z[picked] - np.log(denom))
+            denom = delta.sum(axis=1)
+            loss -= _dots(z[picked] - np.log(denom), wt)
             # Weighted softmax probabilities less the weighted one-hot labels.
-            delta *= wt / denom
+            delta *= (wt / denom)[:, None]
             delta[picked] -= wt
-            grad_w += delta @ f.T
-            grad_b += delta.sum(axis=1)
-        return float(loss), np.concatenate([grad_w.ravel(), grad_b])
+            grad_w += np.matmul(delta, f.T)
+            grad_b += delta.sum(axis=2)
+        grads = np.concatenate([grad_w.reshape(k, -1), grad_b], axis=1)
+        if x.ndim == 1:
+            return float(loss[0]), grads[0]
+        return loss, grads.T
 
     def global_gradient(self, x: np.ndarray) -> np.ndarray:
         return self.loss_and_gradient(x)[1]
@@ -477,14 +537,16 @@ class SoftmaxObjective:
     def train_loss(self, x: np.ndarray) -> float:
         return self.loss_and_gradient(x)[0]
 
-    def test_accuracy(self, x: np.ndarray) -> float:
-        """The mean over clients of each client's test accuracy at ``x``."""
+    def test_accuracy(self, x: np.ndarray):
+        """The mean over clients of each client's test accuracy at ``x``:
+        a float for a ``(d,)`` vector, a ``(K,)`` array for the K columns
+        of a ``(d, K)`` matrix, in one pass as ``loss_and_gradient``'s."""
         features, labels, weights = self._test
-        w, b = _split(np.asarray(x, float))
-        bias = b[:, None]
-        accuracy = 0.0
+        x = np.asarray(x, float)
+        w, bias = _models(x)
+        accuracy = np.zeros(len(w))
         for rows in _blocks(len(labels)):
-            z = w @ features[:, rows]
+            z = np.matmul(w, features[:, rows])
             z += bias
-            accuracy += weights[rows] @ (z.argmax(axis=0) == labels[rows])
-        return float(accuracy)
+            accuracy += _dots(z.argmax(axis=1) == labels[rows], weights[rows])
+        return float(accuracy[0]) if x.ndim == 1 else accuracy

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from fedsim.algorithms import (AlgorithmConfig, FleetState, MetricsRow, matrix_form_check,
-                               run_experiment, run_round)
+                               metrics_rows, run_experiment, run_round)
 from fedsim.errors import ConfigError, DivergedRunError
 from fedsim.link_model import (ActiveSet, StaticLinkProcess, TraceRound,
                                ZipfCountLinkProcess, build_trace, sample_active_set)
-from fedsim.objectives import QuadraticObjective, SoftmaxObjective, generate_synthetic
+from fedsim.objectives import (MEASURE_WINDOW, QuadraticObjective, SoftmaxObjective,
+                               generate_synthetic)
 from fedsim.streams import SeededStream
 
 
@@ -306,13 +307,19 @@ def test_softmax_fedpbc_multicasts_to_last_round_active_clients():
 
 def run_round_loop(cfg, obj, trace, T, stream, batch_size=32, x0=None):
     """What run_experiment must amount to: T run_round calls on its trace
-    and on batchers drawn from its stream path."""
+    and on batchers drawn from its stream path, each round's row measured
+    on its own, and on divergence a ``DivergedRunError`` carrying every
+    row so far."""
     state = FleetState.initial(np.zeros(obj.dim) if x0 is None else x0, obj.num_clients)
     batchers = obj.make_batchers(batch_size, stream.child("batches"))
     rows = []
     for t in range(T):
-        state, row = run_round(state, trace[t].active, cfg, obj, batchers)
-        rows.append(row)
+        try:
+            state, start = run_round(state, trace[t].active, cfg, obj, batchers)
+        except DivergedRunError as err:
+            err.rows = rows + err.rows
+            raise
+        rows += metrics_rows([start], obj)
     return state, rows
 
 
@@ -344,6 +351,49 @@ def test_run_experiment_is_run_round_in_a_loop_softmax_active_only():
         res = run_experiment(cfg, obj, StaticLinkProcess(np.ones(10)), 6, sim,
                              trace=trace, batch_size=48, x0=x0)
         assert_same_run(res, *run_round_loop(cfg, obj, trace, 6, sim, 48, x0))
+
+
+@pytest.mark.parametrize("T", [MEASURE_WINDOW - 1, MEASURE_WINDOW, MEASURE_WINDOW + 1])
+def test_run_experiment_windows_are_run_round_in_a_loop(T):
+    quad = QuadraticObjective(np.random.default_rng(66).normal(size=(3, 8)))
+    soft = ragged_softmax_fleet(6)
+    x0 = np.random.default_rng(67).normal(scale=0.1, size=soft.dim)
+    for obj, start, mode in ((quad, None, "all"), (soft, x0, "active_only")):
+        trace = partial_trace(np.full(obj.num_clients, 0.5), T, 68)
+        for variant in ("fedavg", "fedpbc"):
+            cfg = AlgorithmConfig(variant, s=2, eta=0.05, local_compute=mode)
+            sim = SeededStream(69).child("sim")
+            res = run_experiment(cfg, obj, StaticLinkProcess(np.ones(obj.num_clients)), T,
+                                 sim, trace=trace, batch_size=16, x0=start)
+            assert len(res.rows) == T
+            assert_same_run(res, *run_round_loop(cfg, obj, trace, T, sim, 16, start))
+
+
+@pytest.mark.parametrize("diverges_at", [0, MEASURE_WINDOW // 2, MEASURE_WINDOW - 1,
+                                         MEASURE_WINDOW])
+def test_run_experiment_divergence_in_a_window_carries_the_loop_rows(diverges_at):
+    # (1 - 3)^30 = 2^30 per round: a start 2^(1009 - 30 r) away from the
+    # optimum is about 2^1009 from every target when round r starts, and
+    # its steps overflow, so the run diverges at round r.  Every round has
+    # an active client, so FedAvg's server model grows as fast.
+    obj = QuadraticObjective(np.array([[0.5, -0.5, 0.25, 2.0, -1.0],
+                                       [1.0, 1.0, -2.0, 0.0, 3.0]]))
+    x0 = obj.global_optimum() + 2.0 ** (1009 - 30 * diverges_at)
+    T = 2 * MEASURE_WINDOW
+    trace = partial_trace(np.full(5, 0.7), T, 70)
+    assert all(len(r.active) for r in trace)
+    for variant in ("fedavg", "fedpbc"):
+        cfg = AlgorithmConfig(variant, s=30, eta=3.0)
+        sim = SeededStream(71).child("sim")
+        with pytest.raises(DivergedRunError) as theirs:
+            run_round_loop(cfg, obj, trace, T, sim, x0=x0)
+        with pytest.raises(DivergedRunError) as mine:
+            run_experiment(cfg, obj, StaticLinkProcess(np.ones(5)), T, sim, trace=trace, x0=x0)
+        assert mine.value.round_index == theirs.value.round_index == diverges_at
+        assert mine.value.client == theirs.value.client
+        assert str(mine.value) == str(theirs.value)
+        assert mine.value.rows == theirs.value.rows
+        assert [r.round for r in mine.value.rows] == list(range(diverges_at + 1))
 
 
 def literal_round(state, active, cfg, obj, batchers):
@@ -403,7 +453,8 @@ def test_run_round_matches_the_literal_formulas_bit_for_bit(variant, mode, case)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for members in rounds:
-            mine, row = run_round(mine, ActiveSet(members), cfg, obj, batchers_mine)
+            mine, start = run_round(mine, ActiveSet(members), cfg, obj, batchers_mine)
+            row, = metrics_rows([start], obj)
             theirs, ref = literal_round(theirs, ActiveSet(members), cfg, obj, batchers_theirs)
             assert row == ref  # every field with ==; no field is nan here
             assert np.array_equal(mine.X, theirs.X)

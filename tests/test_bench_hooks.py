@@ -43,7 +43,9 @@ def test_tracer_resolves_every_traced_name():
 
 def test_traced_run_experiment_calls_run_round_once_per_round():
     # algorithms.round_self_s is the self time of these calls, so each
-    # round must be one run_round call, measurement and batch included.
+    # round must be one run_round call, its batch and its part of the
+    # metrics row (mean iterate, consensus error) included; the train and
+    # test passes of a window of rounds run in run_experiment.
     obj = QuadraticObjective(np.random.default_rng(1).normal(size=(2, 5)))
     T = 7
     tracer = tracing.Tracer()

@@ -70,9 +70,14 @@ def test_quadratic_metrics_csv_is_the_separate_terms_bytes(tmp_path, monkeypatch
     assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "one")]) == 0
 
     def separate_terms(self, x):
-        diffs = x[:, None] - self.targets
-        return (float(0.5 * (diffs * diffs).sum() / self.num_clients),
-                x - self.targets.mean(axis=1))
+        # The run measures a window of models, the columns of x, at once.
+        terms = []
+        for col in x.T:
+            diffs = col[:, None] - self.targets
+            terms.append((float(0.5 * (diffs * diffs).sum() / self.num_clients),
+                          col - self.targets.mean(axis=1)))
+        losses, grads = zip(*terms)
+        return np.array(losses), np.array(grads).T
 
     monkeypatch.setattr(QuadraticObjective, "loss_and_gradient", separate_terms)
     assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "two")]) == 0

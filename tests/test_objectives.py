@@ -1,5 +1,6 @@
 import filecmp
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -269,6 +270,57 @@ def test_stacked_pass_matches_per_client_means(m, count_mode):
         assert abs(obj.test_accuracy(x) - ref_acc) <= 1e-15
         assert obj.train_loss(x) == loss
         assert np.array_equal(obj.global_gradient(x), grad)
+
+
+def batch_case(name: str):
+    """An objective and 33 models, the columns of a d x 33 matrix."""
+    rng = np.random.default_rng(66)
+    if name in ("quadratic", "overflow"):
+        # test_algorithms.engine_case's quadratic fleet; its overflow start
+        # fleet's deviations of 1e200 overflow the squares of the loss.
+        obj = QuadraticObjective(np.random.default_rng(81).normal(size=(4, 7)))
+        if name == "overflow":
+            return obj, np.tile(np.array([[1e200] * 6 + [-1e200]] * 4), 5)[:, :33]
+        return obj, rng.normal(scale=3.0, size=(4, 33))
+    m, samples, count_mode = {"ragged": (20, 250, "lognormal"),
+                              "under_a_block": (2, 20, "fixed"),
+                              "over_a_block": (3, 250, "fixed")}[name]
+    obj = SoftmaxObjective(generate_synthetic(1.0, 1.0, m, samples,
+                                              SeededStream(67).child("data"),
+                                              count_mode=count_mode))
+    sizes = [len(cl.train_y) for cl in obj.dataset.clients]
+    assert {"ragged": len(set(sizes)) > 1 and sum(sizes) % FULL_PASS_BLOCK,
+            "under_a_block": sum(sizes) < FULL_PASS_BLOCK,
+            "over_a_block": sum(sizes) > FULL_PASS_BLOCK}[name]
+    models = rng.normal(scale=0.5, size=(PARAM_DIM, 33))
+    models[:, 0] = 0.0
+    return obj, models
+
+
+@pytest.mark.parametrize("K", [1, 2, 7, 33])
+@pytest.mark.parametrize("case", ["ragged", "under_a_block", "over_a_block", "quadratic",
+                                  "overflow"])
+def test_stacked_columns_are_the_vector_calls_bit_for_bit(case, K):
+    """Each column of a (d, K) call is the (d,) call on that column alone,
+    whatever the other columns hold."""
+    obj, models = batch_case(case)
+    X = models[:, :K]
+    with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        losses, grads = obj.loss_and_gradient(X)
+        accuracies = obj.test_accuracy(X)
+        assert losses.shape == (K,) and grads.shape == (obj.dim, K)
+        for j in range(K):
+            loss, grad = obj.loss_and_gradient(X[:, j])
+            assert type(loss) is float and losses[j] == loss
+            assert np.array_equal(grads[:, j], grad)
+            accuracy = obj.test_accuracy(X[:, j])
+            if accuracies is None:
+                assert accuracy is None
+            else:
+                assert type(accuracy) is float and accuracies[j] == accuracy
+    if case == "overflow":
+        assert np.all(losses == np.inf)
 
 
 def test_objective_holds_feature_rows_once():
