@@ -27,22 +27,14 @@ from .config import check_seed, parse_config
 from .errors import ConfigError, FedsimError
 from .harness import (mixing_report, oracle_report, reproduce_fig2, reproduce_fig3,
                       resolve_seed_override, run_simulation, write_run_outputs)
-from .numerics import csv_records, integer, read_text, real, write_text
+from .numerics import csv_records, integer, read_text, real, reals, write_text
 from .objectives import generate_synthetic, save_dataset_csv
 from .streams import SeededStream
 
 
-def _parse_floats(fields: list, where: str) -> np.ndarray:
-    try:
-        return np.array([real(v) for v in fields])
-    except ValueError:
-        raise ConfigError(f"{where}: expected comma-separated numbers, "
-                          f"got {','.join(fields).strip()!r}") from None
-
-
 def _read_rows(path: str, what: str) -> list:
     """The non-blank lines of a CSV file as float vectors of one length."""
-    rows = [_parse_floats(fields, where) for where, fields in csv_records(path, path)]
+    rows = [reals(fields, where) for where, fields in csv_records(path, path)]
     if not rows:
         raise ConfigError(f"no {what} rows found in {path}")
     return rows
@@ -54,13 +46,8 @@ def _parse_p_argument(inline: str | None, path: str | None) -> list:
     if (inline is None) == (path is None):
         raise FedsimError("provide exactly one of --p or --p-file")
     if inline is not None:
-        return [_parse_floats(inline.split(","), "--p")]
+        return [reals(inline.split(","), "--p")]
     return _read_rows(path, "probability")
-
-
-def _load_targets(path: str) -> np.ndarray:
-    # One row per client; transposed to the d x m layout used internally.
-    return np.array(_read_rows(path, "target")).T
 
 
 def _matrix_json(rows) -> str:
@@ -116,17 +103,13 @@ def build_parser() -> argparse.ArgumentParser:
         p_fig.add_argument("--out", required=True)
         p_fig.add_argument("--seed", type=integer, default=1234)
 
-    p_mix = sub.add_parser("mixing", help="expected-square mixing diagnostics")
-    p_mix.add_argument("--p", default=None, help="comma-separated probabilities")
-    p_mix.add_argument("--p-file", default=None,
-                       help="CSV of probability vectors, one round per line")
-    p_mix.add_argument("--out", default=None, help="write JSON lines here instead of stdout")
-
-    p_or = sub.add_parser("oracle", help="closed-form limit weights and bias")
-    p_or.add_argument("--p", default=None)
-    p_or.add_argument("--p-file", default=None)
-    p_or.add_argument("--u", default=None, help="CSV of client targets, one row per client")
-    p_or.add_argument("--out", default=None)
+    p_rows = argparse.ArgumentParser(add_help=False)
+    p_rows.add_argument("--p", help="comma-separated probabilities")
+    p_rows.add_argument("--p-file", help="CSV of probability vectors, one round per line")
+    p_rows.add_argument("--out", help="write JSON lines here instead of stdout")
+    sub.add_parser("mixing", parents=[p_rows], help="expected-square mixing diagnostics")
+    p_or = sub.add_parser("oracle", parents=[p_rows], help="closed-form limit weights and bias")
+    p_or.add_argument("--u", help="CSV of client targets, one row per client")
 
     p_gen = sub.add_parser("gendata", help="generate a synthetic dataset file")
     p_gen.add_argument("--alpha", type=real, required=True)
@@ -161,11 +144,9 @@ def main(argv=None) -> int:
             return 0
         if args.command == "oracle":
             rows = _parse_p_argument(args.p, args.p_file)
-            targets = _load_targets(args.u) if args.u else None
-            records = []
-            for p in rows:
-                records.extend(oracle_report(p, targets))
-            _emit_json_lines(records, args.out)
+            # One row per client, transposed to the d x m layout used internally.
+            targets = np.array(_read_rows(args.u, "target")).T if args.u else None
+            _emit_json_lines([rec for p in rows for rec in oracle_report(p, targets)], args.out)
             return 0
         if args.command == "gendata":
             check_seed(args.seed)

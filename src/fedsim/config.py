@@ -15,12 +15,8 @@ exists.  Every other key defaults to the experiment's
 reference setup in ``_DEFAULTS``; ``reference_config`` builds that setup,
 and the figure grids run it.
 
-Link specs:
-    static:P0,P1,...   per-client probabilities (must match m)
-    halves:P0,P1       first m//2 clients get P0, the rest P1
-    uniform:P          one probability for everyone
-    zipf:A,N,FLOOR     Zipf-count schedule clipped to [FLOOR, 1]; one multinomial
-                       draw of N per round, 1 <= N <= 2**63 - 1
+A ``link`` value is a spec ``KIND:V1,...,Vk``; ``_LINK_VALUES`` is its
+grammar, each kind with the values it takes.
 """
 
 from __future__ import annotations
@@ -31,7 +27,7 @@ from typing import get_type_hints
 from .algorithms import AlgorithmConfig
 from .errors import ConfigError
 from .link_model import StaticLinkProcess, ZipfCountLinkProcess
-from .numerics import format_real, integer, real
+from .numerics import format_real, integer, real, reals
 from .objectives import check_synthetic
 from .streams import MAX_SEED
 
@@ -160,41 +156,32 @@ def check_seed(seed: int) -> None:
         raise ConfigError(f"key 'seed' must be >= 0 and fit in 64 bits, got {seed}")
 
 
+# Each link kind's count of spec values (None: m, one per client).
+_LINK_VALUES = {
+    "static": None,  # P0,...: one probability per client
+    "halves": 2,  # P0,P1: P0 for the first m//2 clients, P1 for the rest
+    "uniform": 1,  # P: one probability for every client
+    "zipf": 3,  # A,N,FLOOR: Zipf counts of N draws a round, clipped to [FLOOR, 1]
+}
+
+
 def make_link_process(spec: str, m: int):
     """Instantiate the link process described by a config ``link`` value."""
     kind, _, rest = spec.partition(":")
     kind = kind.strip()
-    if kind == "static":
-        try:
-            values = [real(v) for v in rest.split(",")]
-        except ValueError:
-            raise ConfigError(f"bad static link spec {spec!r}") from None
-        if len(values) != m:
-            raise ConfigError(f"static link spec has {len(values)} entries, need m={m}")
-        return StaticLinkProcess(values)
-    if kind == "halves":
-        parts = rest.split(",")
-        if len(parts) != 2:
-            raise ConfigError(f"halves link spec needs two probabilities, got {spec!r}")
-        try:
-            p0, p1 = real(parts[0]), real(parts[1])
-        except ValueError:
-            raise ConfigError(f"bad halves link spec {spec!r}") from None
-        half = m // 2
-        return StaticLinkProcess([p0] * half + [p1] * (m - half))
-    if kind == "uniform":
-        try:
-            p = real(rest)
-        except ValueError:
-            raise ConfigError(f"bad uniform link spec {spec!r}") from None
-        return StaticLinkProcess([p] * m)
+    if kind not in _LINK_VALUES:
+        raise ConfigError(f"unknown link process kind {kind!r}")
+    values, need = rest.split(","), _LINK_VALUES[kind] or m
+    if len(values) != need:
+        raise ConfigError(f"{kind} link spec {spec!r} needs {need} value{'s' * (need != 1)}, "
+                          f"got {len(values)}")
     if kind == "zipf":
-        parts = [v.strip() for v in rest.split(",")]
-        if len(parts) != 3:
-            raise ConfigError(f"zipf link spec needs 'zipf:A,N,FLOOR', got {spec!r}")
         try:
-            a, n, floor = real(parts[0]), integer(parts[1]), real(parts[2])
+            a, n, floor = real(values[0]), integer(values[1]), real(values[2])
         except ValueError:
             raise ConfigError(f"bad zipf link spec {spec!r}") from None
         return ZipfCountLinkProcess(a=a, n=n, floor=floor, m=m)
-    raise ConfigError(f"unknown link process kind {kind!r}")
+    p = reals(values, f"{kind} link spec {spec!r}")
+    if kind != "static":  # the first m//2 clients take the first value, the rest the last
+        p = p[[0] * (m // 2) + [-1] * (m - m // 2)]
+    return StaticLinkProcess(p)

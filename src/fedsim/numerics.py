@@ -11,8 +11,9 @@ polynomials of degree at most m, so Gauss–Legendre quadrature with
 ``m//2 + 2`` nodes integrates them exactly up to rounding (Golub & Welsch,
 Math. Comp. 23, 1969).  Three operations live here (plus the file rules:
 ``read_text`` and ``csv_records`` read every input file, ``integer`` and
-``real`` every number in any input, ``write_text`` (under ``write_csv`` and
-``write_json``) every output file, and ``format_real`` each CSV and config real):
+``real`` every number in any input, ``reals`` every list of reals,
+``write_text`` (under ``write_csv`` and ``write_json``) every output file,
+and ``format_real`` each CSV and config real):
 
 * ``bernoulli_quadrature`` — the kernel.  For a probability vector it
   returns the nodes and weights on [0, 1], the full product
@@ -74,6 +75,16 @@ def integer(text: str) -> int:
 def real(text: str) -> float:
     """A real in any input: ``float``, but ``0_5`` is a ``ValueError``."""
     return float(_plain(text))
+
+
+def reals(fields: Sequence[str], where: str) -> np.ndarray:
+    """A list of reals typed as a link spec's or a ``--p``, ``--p-file`` or
+    ``--u`` row's fields; any other field is a ``ConfigError`` at ``where``."""
+    try:
+        return np.array([real(v) for v in fields])
+    except ValueError:
+        raise ConfigError(f"{where}: expected comma-separated numbers, "
+                          f"got {','.join(fields).strip()!r}") from None
 
 
 def _lines(path) -> Iterator[str]:

@@ -177,12 +177,15 @@ def local_perturbation_check(objective: QuadraticObjective, i: int, x: np.ndarra
     if s < 1:
         raise ConfigError("s must be >= 1")
     x = np.asarray(x, dtype=float)
-    g0 = objective.gradient(i, x)
+    if x.shape != (objective.dim,):
+        raise ConfigError(f"model vector must have dimension {objective.dim}")
+    u = objective.targets[:, i]  # client i's gradient at y is y - u
+    g0 = x - u
     dev = np.zeros_like(g0)
     xk = x.copy()
     for _ in range(s):
-        dev += objective.gradient(i, xk) - g0
-        xk = xk - eta * objective.gradient(i, xk)
+        dev += (xk - u) - g0
+        xk = xk - eta * (xk - u)
     lhs = float(np.linalg.norm(dev))
     rhs = (0.0 if s == 1
            else kappa(eta, 1.0, s) * eta * comb(s, 2) * float(np.linalg.norm(g0)))

@@ -26,6 +26,8 @@ import shutil
 import sys
 import tempfile
 
+from fedsim.cli import main as fedsim_main
+
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 SCALE = "0.1"
 STRIDE = 10
@@ -33,9 +35,9 @@ STRIDE = 10
 
 def run_figures(out_dir) -> None:
     """Both reference figures at ``SCALE``, into ``out_dir``/fig2 and fig3."""
-    from fedsim.cli import main
     for fig in ("fig2", "fig3"):
-        code = main([f"reproduce-{fig}", "--scale", SCALE, "--out", os.path.join(out_dir, fig)])
+        out = os.path.join(out_dir, fig)
+        code = fedsim_main([f"reproduce-{fig}", "--scale", SCALE, "--out", out])
         assert code == 0, f"reproduce-{fig} exited {code}"
 
 

@@ -205,7 +205,10 @@ def test_link_process_factory_rejects_empty_static_entry(spec):
     ("seed", -1, "key 'seed'"),
     ("seed", 2**64, "key 'seed'"),
     ("link", "uniform:0", r"\(0, 1\]"),
-    ("link", "halves:0.9", "two probabilities"),
+    ("link", "halves:0.9", r"halves link spec 'halves:0\.9' needs 2 values, got 1"),
+    ("link", "static:0.5,0.5", r"static link spec 'static:0\.5,0\.5' needs 100 values, got 2"),
+    ("link", "uniform:0.5x",
+     r"uniform link spec 'uniform:0\.5x': expected comma-separated numbers, got '0\.5x'"),
     ("link", "zipf:3,20\0,0.1", "bad zipf link spec"),
     ("experiment", "synthetic\0", "experiment must be one of"),
     ("out", "a\0b", "key 'out' must not contain a NUL"),

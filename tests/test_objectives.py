@@ -7,9 +7,9 @@ import pytest
 
 from fedsim.errors import ConfigError
 from fedsim.objectives import (FULL_PASS_BLOCK, N_CLASSES, N_FEATURES, PARAM_DIM,
-                               MiniBatcher, QuadraticObjective, SoftmaxObjective,
-                               generate_synthetic, load_dataset_csv, save_dataset_csv,
-                               softmax_loss_grad)
+                               QUAD_GROUP_ELEMENTS, MiniBatcher, QuadraticObjective,
+                               SoftmaxObjective, generate_synthetic, load_dataset_csv,
+                               save_dataset_csv, softmax_loss_grad)
 from fedsim.streams import SeededStream
 
 # Label histogram over 10^4 samples at alpha=beta=1, frozen at generator
@@ -282,6 +282,10 @@ def batch_case(name: str):
         if name == "overflow":
             return obj, np.tile(np.array([[1e200] * 6 + [-1e200]] * 4), 5)[:, :33]
         return obj, rng.normal(scale=3.0, size=(4, 33))
+    if name == "grouped":  # fig2's reference size: 33 models span several groups
+        obj = QuadraticObjective(rng.normal(size=(100, 100)))
+        assert QUAD_GROUP_ELEMENTS // obj.targets.size < 7
+        return obj, rng.normal(scale=3.0, size=(100, 33))
     m, samples, count_mode = {"ragged": (20, 250, "lognormal"),
                               "under_a_block": (2, 20, "fixed"),
                               "over_a_block": (3, 250, "fixed")}[name]
@@ -299,7 +303,7 @@ def batch_case(name: str):
 
 @pytest.mark.parametrize("K", [1, 2, 7, 33])
 @pytest.mark.parametrize("case", ["ragged", "under_a_block", "over_a_block", "quadratic",
-                                  "overflow"])
+                                  "overflow", "grouped"])
 def test_stacked_columns_are_the_vector_calls_bit_for_bit(case, K):
     """Each column of a (d, K) call is the (d,) call on that column alone,
     whatever the other columns hold."""
